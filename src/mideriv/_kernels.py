@@ -1,126 +1,33 @@
-"""Numeric inner loops with a numba fast path and a numpy fallback.
-
-The backend is resolved per call from the MIDERIV_BACKEND environment
-variable ("numba" or "numpy"); when unset, numba is used if importable.
-Both paths accumulate atom-major and grid-lexicographic, so each backend
-is bit-stable run to run (the two backends may differ in final ulps
-because vectorized reductions associate differently).
+"""Numeric inner loops over the quadrature grid, in an atom-major layout.
 
 Shared argument layout, for A atoms on a P-point grid:
     probs, logp : (A,)   atom masses and their logs
     M           : (A, A) cross terms sum_i l_i x_ai x_bi
-    G           : (P, A) grid-atom terms sum_i sqrt(l_i) z_i x_bi
+    G           : (A, P) atom-grid terms sum_i sqrt(l_i) x_bi z_i
     c           : (A,)   half self-energies sum_i l_i x_bi**2 / 2
     W           : (P,)   product quadrature weights
-so logp[b] + M[a, b] + G[g, b] - c[b] is the log posterior weight of
+so logp[b] + M[a, b] + G[b, g] - c[b] is the log posterior weight of
 atom b at grid point g of the mixture component a, up to normalization.
+
+Every max, exp and sum over atoms runs elementwise along the contiguous
+grid axis, one (A, P) buffer per mixture component.  Components are
+accumulated in atom order and grid points in lexicographic order, so
+results are bit-stable run to run.
 """
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-from .errors import DomainError
 
 # exp underflows to 0 below roughly -745; a max-posterior term below the
 # floor means every weight at that grid point is indistinguishable from 0
 LOG_FLOOR = -745.0
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-
-def backend() -> str:
-    """Active backend name, honoring the MIDERIV_BACKEND override."""
-    choice = os.environ.get("MIDERIV_BACKEND", "").strip().lower()
-    if choice == "":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise DomainError(f"MIDERIV_BACKEND={choice!r}: expected 'numba' or 'numpy'")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise DomainError("MIDERIV_BACKEND=numba but numba is not importable")
-    return choice
-
-
-def _mi_loops(probs, logp, M, G, c, W):
-    A = probs.shape[0]
-    P = W.shape[0]
-    total = 0.0
-    under = False
-    for a in range(A):
-        acc = 0.0
-        for g in range(P):
-            mx = -np.inf
-            for b in range(A):
-                t = logp[b] + M[a, b] + G[g, b] - c[b]
-                if t > mx:
-                    mx = t
-            if mx < LOG_FLOOR:
-                under = True
-            s = 0.0
-            for b in range(A):
-                s += math.exp(logp[b] + M[a, b] + G[g, b] - c[b] - mx)
-            lse = mx + math.log(s)
-            acc += W[g] * ((M[a, a] + G[g, a] - c[a]) - lse)
-        total += probs[a] * acc
-    return total, under
-
-
-def _mi_numpy(probs, logp, M, G, c, W):
-    A = probs.shape[0]
-    total = 0.0
-    under = False
-    for a in range(A):
-        row = logp[None, :] + M[a][None, :] + G - c[None, :]
-        mx = row.max(axis=1)
-        if not under and bool((mx < LOG_FLOOR).any()):
-            under = True
-        lse = mx + np.log(np.exp(row - mx[:, None]).sum(axis=1))
-        own = M[a, a] + G[:, a] - c[a]
-        total += probs[a] * float(W @ (own - lse))
-    return total, under
-
-
-def _weights_loops(logp, Mrow, G, c):
-    P, A = G.shape
-    w = np.empty((P, A))
-    under = False
-    for g in range(P):
-        mx = -np.inf
-        for b in range(A):
-            t = logp[b] + Mrow[b] + G[g, b] - c[b]
-            w[g, b] = t
-            if t > mx:
-                mx = t
-        if mx < LOG_FLOOR:
-            under = True
-        s = 0.0
-        for b in range(A):
-            w[g, b] = math.exp(w[g, b] - mx)
-            s += w[g, b]
-        for b in range(A):
-            w[g, b] /= s
-    return w, under
-
-
-def _weights_numpy(logp, Mrow, G, c):
-    row = logp[None, :] + Mrow[None, :] + G - c[None, :]
-    mx = row.max(axis=1)
-    under = bool((mx < LOG_FLOOR).any())
-    w = np.exp(row - mx[:, None])
-    w /= w.sum(axis=1, keepdims=True)
-    return w, under
-
-
-if HAVE_NUMBA:
-    _mi_numba = njit(cache=True)(_mi_loops)
-    _weights_numba = njit(cache=True)(_weights_loops)
+def _log_posterior(logp, Mrow, G, c):
+    """Unnormalized (A, P) log posterior of one mixture component."""
+    row = (logp + Mrow)[:, None] + G
+    row -= c[:, None]
+    return row
 
 
 def mi_accumulate(probs, logp, M, G, c, W):
@@ -129,17 +36,30 @@ def mi_accumulate(probs, logp, M, G, c, W):
     Returns (value, underflow_flag); the flag is True when some grid
     point had every posterior term below the log floor.
     """
-    if backend() == "numba":
-        return _mi_numba(probs, logp, M, G, c, W)
-    return _mi_numpy(probs, logp, M, G, c, W)
+    total = 0.0
+    under = False
+    for a in range(probs.shape[0]):
+        row = _log_posterior(logp, M[a], G, c)
+        own = M[a, a] + G[a] - c[a]
+        mx = row.max(axis=0)
+        under = under or bool(mx.min() < LOG_FLOOR)
+        row -= mx
+        np.exp(row, out=row)
+        lse = mx + np.log(row.sum(axis=0))
+        total += probs[a] * float(W @ (own - lse))
+    return total, under
 
 
 def posterior_weights(logp, Mrow, G, c):
     """Normalized posterior atom weights at every grid point.
 
-    Returns ((P, A) weights, underflow_flag) for the mixture component
+    Returns ((A, P) weights, underflow_flag) for the mixture component
     whose cross-term row is Mrow.
     """
-    if backend() == "numba":
-        return _weights_numba(logp, Mrow, G, c)
-    return _weights_numpy(logp, Mrow, G, c)
+    w = _log_posterior(logp, Mrow, G, c)
+    mx = w.max(axis=0)
+    under = bool(mx.min() < LOG_FLOOR)
+    w -= mx
+    np.exp(w, out=w)
+    w /= w.sum(axis=0)
+    return w, under

@@ -169,7 +169,8 @@ class DiscreteJoint:
         merged: dict[bytes, int] = {}
         rows: list[np.ndarray] = []
         masses: list[float] = []
-        for row, p in zip(support, probs):
+        # + 0.0 turns -0.0 into 0.0, so the byte keys merge signed zeros
+        for row, p in zip(support + 0.0, probs):
             if p == 0.0:
                 continue
             key = row.tobytes()
@@ -297,6 +298,32 @@ def _lik_parts(dist: DiscreteJoint, spec: ChannelSpec):
     return S, M, v, c, logp
 
 
+_UNDERFLOW = f"all posterior terms below exp({LOG_FLOOR}) at some grid point"
+
+
+def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
+    """Kernel arguments on the tensor grid: M, (A, P) G, c, logp, W."""
+    _, M, v, c, logp = _lik_parts(dist, spec)
+    Z, W = quad.tensor(dist.n)
+    return M, v @ Z.T, c, logp, W
+
+
+def _posterior_average(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule, values) -> float:
+    """Output average of values(w), a (P,) array per mixture component.
+
+    w holds the (A, P) posterior atom weights on the grid shifted to the
+    component's atom; components are averaged with their masses.
+    """
+    M, G, c, logp, W = _grid_parts(dist, spec, quad)
+    total = 0.0
+    for a in range(dist.atom_count):
+        w, under = posterior_weights(logp, M[a], G, c)
+        if under:
+            raise QuadratureUnderflowError(_UNDERFLOW)
+        total += dist.probs[a] * float(W @ values(w))
+    return float(total)
+
+
 def mutual_information(
     dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule | None = None
 ) -> float:
@@ -311,15 +338,10 @@ def mutual_information(
     posterior term below the log floor (exp underflows to zero).
     """
     _check_dims(dist, spec)
-    quad = _resolve_quad(quad)
-    S, M, v, c, logp = _lik_parts(dist, spec)
-    Z, W = quad.tensor(dist.n)
-    G = Z @ v.T
+    M, G, c, logp, W = _grid_parts(dist, spec, _resolve_quad(quad))
     value, under = mi_accumulate(dist.probs, logp, M, G, c, W)
     if under:
-        raise QuadratureUnderflowError(
-            f"all posterior terms below exp({LOG_FLOOR}) at some grid point"
-        )
+        raise QuadratureUnderflowError(_UNDERFLOW)
     return float(value)
 
 
@@ -327,7 +349,10 @@ def posterior_moment(dist: DiscreteJoint, spec: ChannelSpec, y, block) -> float:
     """E of the product over block given the output vector y.
 
     block holds 1-based coordinate ids with repeats; the empty block is
-    1 for every y.  Weights are computed in log space and normalized.
+    1 for every y.  Weights are computed in log space and normalized
+    after subtracting the largest logit, so they cannot all underflow;
+    a non-finite result (from a non-finite y) raises
+    QuadratureUnderflowError.
     """
     _check_dims(dist, spec)
     y = np.asarray(y, dtype=float)
@@ -336,19 +361,20 @@ def posterior_moment(dist: DiscreteJoint, spec: ChannelSpec, y, block) -> float:
     ids = tuple(sorted(int(i) for i in block))
     if ids and (ids[0] < 1 or ids[-1] > dist.n):
         raise DomainError(f"block {ids} leaves coordinates 1..{dist.n}")
-    S, _, v, c, logp = _lik_parts(dist, spec)
-    logits = logp + v @ y - c
-    mx = float(logits.max())
-    if mx < LOG_FLOOR:
-        raise QuadratureUnderflowError(f"all posterior terms below exp({LOG_FLOOR}) at y={y.tolist()}")
-    w = np.exp(logits - mx)
-    w /= w.sum()
     if not ids:
         return 1.0
+    S, _, v, c, logp = _lik_parts(dist, spec)
+    logits = logp + v @ y - c
+    with np.errstate(invalid="ignore"):
+        w = np.exp(logits - logits.max())
+        w /= w.sum()
     prod = np.ones(dist.atom_count)
     for i in ids:
         prod = prod * S[:, i - 1]
-    return float(w @ prod)
+    value = float(w @ prod)
+    if not math.isfinite(value):
+        raise QuadratureUnderflowError(f"posterior weights are not finite at y={y.tolist()}")
+    return value
 
 
 def mmse(
@@ -365,23 +391,14 @@ def mmse(
     _check_dims(dist, spec)
     if not 1 <= channel <= dist.n:
         raise DomainError(f"channel {channel} leaves 1..{dist.n}")
-    quad = _resolve_quad(quad)
-    S, M, v, c, logp = _lik_parts(dist, spec)
-    Z, W = quad.tensor(dist.n)
-    G = Z @ v.T
-    col = S[:, channel - 1]
+    col = dist.support[:, channel - 1]
     col2 = col * col
-    total = 0.0
-    for a in range(dist.atom_count):
-        w, under = posterior_weights(logp, M[a], G, c)
-        if under:
-            raise QuadratureUnderflowError(
-                f"all posterior terms below exp({LOG_FLOOR}) at some grid point"
-            )
-        mu = w @ col
-        e2 = w @ col2
-        total += dist.probs[a] * float(W @ (e2 - mu * mu))
-    return float(total)
+
+    def spread(w):
+        mu = col @ w
+        return col2 @ w - mu * mu
+
+    return _posterior_average(dist, spec, _resolve_quad(quad), spread)
 
 
 def expected_conditional_tau(
@@ -415,39 +432,36 @@ def expected_conditional_tau(
     expansion = tau_symbolic(binding, 2 if centered else 1)
     if not expansion.terms:
         return 0.0
-    quad = _resolve_quad(quad)
-    S, M, v, c, logp = _lik_parts(dist, spec)
-    Z, W = quad.tensor(dist.n)
-    G = Z @ v.T
-    P = Z.shape[0]
+    S = dist.support
     blocks = sorted({b for mono, _ in expansion.terms for b in mono})
     bindex = {b: i for i, b in enumerate(blocks)}
-    total = 0.0
-    for a in range(dist.atom_count):
-        w, under = posterior_weights(logp, M[a], G, c)
-        if under:
-            raise QuadratureUnderflowError(
-                f"all posterior terms below exp({LOG_FLOOR}) at some grid point"
-            )
-        mu = (w @ S) if centered else None
-        moments = np.empty((P, len(blocks)))
-        for b, bi in bindex.items():
-            prod = np.ones_like(w)
-            for i in b:
-                coord = S[:, i - 1][None, :]
-                if centered:
-                    prod = prod * (coord - mu[:, i - 1][:, None])
-                else:
-                    prod = prod * coord
-            moments[:, bi] = (w * prod).sum(axis=1)
-        values = np.zeros(P)
+    # (blocks, A) raw block products; raw @ w are the uncentered moments
+    raw = np.ones((len(blocks), dist.atom_count))
+    for bi, b in enumerate(blocks):
+        for i in b:
+            raw[bi] *= S[:, i - 1]
+
+    def form(w):
+        if centered:
+            mu = S.T @ w  # (n, P) posterior means
+            moments = np.empty((len(blocks), w.shape[1]))
+            for bi, b in enumerate(blocks):
+                prod = np.ones_like(w)
+                for i in b:
+                    prod *= S[:, i - 1][:, None] - mu[i - 1]
+                prod *= w
+                moments[bi] = prod.sum(axis=0)
+        else:
+            moments = raw @ w
+        values = np.zeros(w.shape[1])
         for mono, coeff in expansion.terms:
-            term = np.full(P, float(coeff))
+            term = np.full(w.shape[1], float(coeff))
             for b in mono:
-                term = term * moments[:, bindex[b]]
+                term *= moments[bindex[b]]
             values += term
-        total += dist.probs[a] * float(W @ values)
-    return float(total)
+        return values
+
+    return _posterior_average(dist, spec, _resolve_quad(quad), form)
 
 
 def combine_channels(

@@ -8,7 +8,7 @@ algebraic identities (multiquadratic behavior, snr additivity under
 signal duplication, the Gaussian zero-snr chain, and the two
 moment-cumulant routes), mostly in exact rational arithmetic.
 
-Reports are deterministic for a given (seed, config, backend): no
+Reports are deterministic for a given (seed, config): no
 timestamps, fixed case order, fixed serialization.
 """
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import closedform
-from ._kernels import backend
 from .channel import (
     ChannelSpec,
     DiscreteJoint,
@@ -369,7 +368,6 @@ def verify_derivatives(seed: int = 0, cases: list[DerivativeCase] | None = None)
         "step_rule": "min(0.2, 0.9*min_active_snr/stencil_halfwidth)",
         "tolerance_by_total_order": {str(k): v for k, v in TOLERANCE_BY_ORDER.items()},
         "centering_tolerance": CENTERING_TOL,
-        "backend": backend(),
     }
     return VerificationReport(
         suite="theorem1",
@@ -534,7 +532,7 @@ def verify_snr_combining(seed: int = 0, quad_order: int = 64) -> VerificationRep
             verdict="pass" if gap <= COMBINE_TOL else "fail",
         )
     )
-    config = {"quad_order": quad_order, "input": "two-point", "backend": backend()}
+    config = {"quad_order": quad_order, "input": "two-point"}
     return VerificationReport(
         suite="lemma2", seed=seed, config=config, adjudication=_convention_note(), cases=records
     )

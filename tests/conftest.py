@@ -11,8 +11,8 @@ from mideriv.verify import verify_derivatives
 
 @pytest.fixture(scope="session")
 def warmup():
-    # First call compiles the jit kernels and fills the grid caches so
-    # per-test timings measure the work, not one-time setup.
+    # First call fills the rule and grid caches so per-test timings
+    # measure the work, not one-time setup.
     two = DiscreteJoint([[1.0], [-1.0]], [0.5, 0.5])
     mutual_information(two, ChannelSpec((0.5,)), gauss_hermite(16))
     return True

@@ -92,6 +92,12 @@ def test_joint_drops_zero_atoms_and_merges_duplicates():
     assert dist.probs[0] == 1.0
 
 
+def test_joint_merges_signed_zeros():
+    dist = DiscreteJoint([[0.0], [-0.0], [1.0]], [0.25, 0.25, 0.5])
+    assert dist.atom_count == 2
+    assert abs(dist.entropy() - math.log(2)) < 1e-15
+
+
 def test_joint_atom_limit():
     with pytest.raises(ValidationError, match="support"):
         DiscreteJoint([[float(i)] for i in range(65)], [1.0 / 65] * 65)
@@ -165,6 +171,15 @@ def test_posterior_mean_matches_tanh():
         value = posterior_moment(TWO_POINT, spec, [y], (1,))
         assert abs(value - math.tanh(math.sqrt(0.7) * y)) < 1e-14
     assert posterior_moment(TWO_POINT, spec, [0.3], ()) == 1.0
+
+
+def test_posterior_moment_of_far_apart_atoms_is_exact():
+    # both logits sit near -800, below the exp floor, but the weights are
+    # max-subtracted and the posterior is exactly the prior
+    far = DiscreteJoint([[20.0], [-20.0]], [0.5, 0.5])
+    assert posterior_moment(far, ChannelSpec((4.0,)), [0.0], (1, 1)) == 400.0
+    with pytest.raises(QuadratureUnderflowError):
+        posterior_moment(far, ChannelSpec((4.0,)), [math.inf], (1,))
 
 
 def test_mmse_zero_snr_is_prior_variance():
@@ -264,25 +279,6 @@ def test_kernel_underflow_flag_raises():
         if under:
             raise QuadratureUnderflowError("all terms under the log floor")
     assert info.type is QuadratureUnderflowError
-
-
-def test_backends_agree(monkeypatch):
-    from mideriv import _kernels
-
-    spec = ChannelSpec((0.5, 0.9))
-    quad = gauss_hermite(48)
-    monkeypatch.setenv("MIDERIV_BACKEND", "numpy")
-    a = mutual_information(PAIR, spec, quad)
-    am = mmse(PAIR, spec, channel=1, quad=quad)
-    if _kernels.HAVE_NUMBA:
-        monkeypatch.setenv("MIDERIV_BACKEND", "numba")
-        b = mutual_information(PAIR, spec, quad)
-        bm = mmse(PAIR, spec, channel=1, quad=quad)
-        assert abs(a - b) < 1e-13
-        assert abs(am - bm) < 1e-13
-    monkeypatch.setenv("MIDERIV_BACKEND", "fortran")
-    with pytest.raises(DomainError):
-        mutual_information(PAIR, spec, quad)
 
 
 def test_random_joints_have_exact_unit_mass():
