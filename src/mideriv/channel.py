@@ -2,17 +2,25 @@
 
 Channel i carries Y_i = sqrt(l_i) X_i + Z_i with independent standard
 Gaussian noise Z_i and signal-to-noise ratio l_i >= 0.  All output
-integrals are taken against the standard Gaussian base measure on a
-tensor Gauss-Hermite grid, under which the log likelihood of input atom
-x at output y is
+integrals are taken against the standard Gaussian base measure, under
+which the log likelihood of input atom x at output y is
 
     sum_i sqrt(l_i) y_i x_i - l_i x_i**2 / 2
 
 up to an x-free term that cancels from every posterior and every
 likelihood ratio.  Information is measured in nats.
+
+With v_b = sqrt(l) * x_b, the output enters the posterior only through
+the projections (v_b - v_0) . z, so the integral runs on a tensor
+Gauss-Hermite grid over an orthonormal basis of span{v_b - v_0}: r axes,
+r = rank <= min(n, atoms - 1), whatever the channel count.  A full-rank
+span keeps the n coordinate axes; otherwise the axes are the principal
+axes of the atoms turned onto the grid diagonals.  A duplicated signal
+(r = 1) is one channel at the summed snr.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -274,10 +282,6 @@ def _check_dims(dist: DiscreteJoint, spec: ChannelSpec) -> None:
         raise DomainError(
             f"snr has {spec.n} channels but the distribution has {dist.n} coordinates"
         )
-    if dist.n > MAX_TENSOR_DIM:
-        raise SizeLimitError(
-            f"{dist.n} coordinates: quadrature paths support 1..{MAX_TENSOR_DIM}"
-        )
 
 
 def _resolve_quad(quad: QuadratureRule | None) -> QuadratureRule:
@@ -301,11 +305,120 @@ def _lik_parts(dist: DiscreteJoint, spec: ChannelSpec):
 _UNDERFLOW = f"all posterior terms below exp({LOG_FLOOR}) at some grid point"
 
 
+# Inside the span the grid axes are the principal axes of the atoms,
+# turned onto the diagonals of the grid: a tensor Gauss-Hermite rule
+# converges fastest on a posterior transition that runs across all of
+# its axes and slowest on one that runs along an axis.  Row k of a turn
+# gives principal axis k in grid coordinates; for two and three axes
+# every entry has a size between 1/3 and 1/sqrt(2).
+_DIAGONALS = {
+    1: np.ones((1, 1)),
+    2: np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
+    3: np.array([[-1.0, 2.0, 2.0], [2.0, -1.0, 2.0], [2.0, 2.0, -1.0]]) / 3.0,
+}
+# Principal axes whose singular values are closer than this (relative to
+# the largest) are the SVD's arbitrary choice, so they are set from the
+# atoms instead.
+_TIED_AXES = 1e-8
+
+
+def _atom_frame(Y: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """(k, k) orthonormal frame for atoms with coordinates Y (A, k).
+
+    Gram-Schmidt over the atoms taken farthest first, heavier first
+    among equal distances, and in stored order after that.
+    """
+    dist2 = (Y * Y).sum(axis=1)
+    order = np.lexsort((-probs, -np.round(dist2 / dist2.max(), 10)))
+    frame: list[np.ndarray] = []
+    for b in order:
+        y = Y[b]
+        for _ in range(2):
+            for f in frame:
+                y = y - (f @ y) * f
+        norm = math.sqrt(y @ y)
+        if norm > _TIED_AXES * math.sqrt(dist2.max()):
+            frame.append(y / norm)
+        if len(frame) == Y.shape[1]:
+            break
+    return np.array(frame).T
+
+
+def _orientation(Y: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Axis signs (r,) for atom coordinates Y (A, r).
+
+    Picks the sign pattern under which the atoms' (coordinates, mass)
+    rows sort last; patterns that tie map the law onto itself.
+    """
+    Y = np.round(Y / np.abs(Y).max(), 10)
+    best_key, best = None, None
+    for signs in itertools.product((1.0, -1.0), repeat=Y.shape[1]):
+        key = sorted(zip(map(tuple, Y * signs), probs))
+        if best_key is None or key > best_key:
+            best_key, best = key, np.array(signs)
+    return best
+
+
+def _difference_basis(v: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Orthonormal (n, r) grid axes spanning span{v_b - v_0}, r its rank.
+
+    The rank and the span come from the SVD of v[1:] - v[0], at the
+    default tolerance of np.linalg.matrix_rank; a rank above
+    MAX_TENSOR_DIM raises SizeLimitError.  Rank 0 and rank n keep the
+    coordinate axes.  Otherwise the axes are the principal axes of the
+    centered atoms, with ties settled by _atom_frame and signs by
+    _orientation, turned by _DIAGONALS.  They depend on the law, not on
+    the order of its atoms or channels, so permuting either leaves every
+    projected value unchanged.
+    """
+    n = v.shape[1]
+    rank = 0
+    if v.shape[0] > 1:
+        diff = v[1:] - v[0]
+        _, s, vt = np.linalg.svd(diff, full_matrices=False)
+        rank = int((s > s.max() * max(diff.shape) * np.finfo(float).eps).sum())
+    if rank > MAX_TENSOR_DIM:
+        raise SizeLimitError(
+            f"support differences span {rank} dimensions: "
+            f"quadrature paths support rank 0..{MAX_TENSOR_DIM}"
+        )
+    if rank in (0, n):
+        return np.eye(n)[:, :rank]
+    span = vt[:rank].T
+    Y = (v - v.mean(axis=0)) @ span
+    _, s, rt = np.linalg.svd(Y, full_matrices=False)
+    R = rt.T
+    start = 0
+    for end in range(1, rank + 1):
+        if end == rank or s[end - 1] - s[end] > _TIED_AXES * s[0]:
+            if end - start > 1:
+                R[:, start:end] = R[:, start:end] @ _atom_frame(Y @ R[:, start:end], probs)
+            start = end
+    R *= _orientation(Y @ R, probs)
+    return span @ R @ _DIAGONALS[rank]
+
+
 def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
-    """Kernel arguments on the tensor grid: M, (A, P) G, c, logp, W."""
+    """Kernel arguments on the projected grid: M, (A, P) G, c, logp, W.
+
+    Every logit is logp_b + M[a, b] + v_b . z - c_b; splitting z = U t +
+    z_perp over the grid axes U of the difference span, the z_perp part
+    adds v_0 . z_perp to every logit and cancels, so G = (v @ U) @ T.T on
+    the r-dimensional grid T.  Rank n keeps G = v @ Z.T on the
+    coordinate grid; rank 0 (one atom, or zero snr) uses a 1-D grid on
+    which every logit is flat.
+    """
     _, M, v, c, logp = _lik_parts(dist, spec)
-    Z, W = quad.tensor(dist.n)
-    return M, v @ Z.T, c, logp, W
+    U = _difference_basis(v, dist.probs)
+    rank = U.shape[1]
+    if rank == dist.n:
+        Z, W = quad.tensor(rank)
+        return M, v @ Z.T, c, logp, W
+    if rank == 0:
+        _, W = quad.tensor(1)
+        return M, np.zeros((dist.atom_count, W.shape[0])), c, logp, W
+    T, W = quad.tensor(rank)
+    return M, (v @ U) @ T.T, c, logp, W
 
 
 def _posterior_average(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule, values) -> float:
@@ -331,11 +444,13 @@ def mutual_information(
 
     Averages log p(Y|x) - log p(Y) over the exact output mixture: for
     each atom the output law is a shifted copy of the base Gaussian, so
-    the tensor grid plus shift integrates it.  Likelihoods stay in log
+    the projected grid plus shift integrates it.  Likelihoods stay in log
     space through a max-subtracted log-sum-exp.
 
     Raises QuadratureUnderflowError when some grid point has every
-    posterior term below the log floor (exp underflows to zero).
+    posterior term below the log floor (exp underflows to zero), and
+    SizeLimitError when the support differences span more than
+    MAX_TENSOR_DIM dimensions.
     """
     _check_dims(dist, spec)
     M, G, c, logp, W = _grid_parts(dist, spec, _resolve_quad(quad))

@@ -232,7 +232,7 @@ def default_derivative_cases(seed: int = 0) -> list[DerivativeCase]:
     triple = random_triple_input(rng)
     for orders in ((1, 0, 0), (1, 1, 0), (1, 1, 1)):
         cases.append(
-            DerivativeCase("triple", triple, DerivativeRequest(orders, (0.3, 0.5, 0.7)), 40)
+            DerivativeCase("triple", triple, DerivativeRequest(orders, (0.3, 0.5, 0.7)), 128)
         )
     return cases
 
@@ -493,7 +493,9 @@ def verify_snr_combining(seed: int = 0, quad_order: int = 64) -> VerificationRep
 
     Feeding one signal to several channels carries exactly as much
     information as one channel at the summed snr; checked for the
-    two-point input across three splits.  CLI suite name: lemma2.
+    two-point input across three splits.  The quadrature integrates the
+    duplicated law on its rank-1 difference span, so this checks that
+    projection against the explicit reduction.  CLI suite name: lemma2.
     This suite uses no randomness; seed is echoed into the report.
     """
     quad = gauss_hermite(quad_order)

@@ -160,9 +160,17 @@ def test_mi_additive_over_independent_channels():
 def test_mi_dimension_guards():
     with pytest.raises(DomainError):
         mutual_information(PAIR, ChannelSpec((1.0,)))
-    wide = DiscreteJoint([[1.0] * 4, [-1.0] * 4], [0.5, 0.5])
+    # five atoms in general position span four difference directions
+    rank4 = DiscreteJoint(np.vstack([np.zeros(4), np.eye(4)]), [0.2] * 5)
     with pytest.raises(SizeLimitError):
-        mutual_information(wide, ChannelSpec((1.0,) * 4))
+        mutual_information(rank4, ChannelSpec((1.0,) * 4))
+    # a duplicated signal spans one direction on any number of channels
+    quad = gauss_hermite(128)
+    for n in (4, 5):
+        wide = DiscreteJoint([[1.0] * n, [-1.0] * n], [0.5, 0.5])
+        spec = ChannelSpec(tuple(0.1 * (i + 1) for i in range(n)))
+        value = mutual_information(wide, spec, quad)
+        assert abs(value - closedform.two_point_mi(sum(spec.snr))) < 1e-12
 
 
 def test_posterior_mean_matches_tanh():

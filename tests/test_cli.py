@@ -138,6 +138,17 @@ def test_mi_invalid_dist_payload(capsys, tmp_path):
     assert err.startswith("mideriv: error[validation]: probs")
 
 
+def test_mi_rank_above_limit_is_size_limit(capsys, tmp_path):
+    # five atoms in general position on four channels: difference rank 4
+    support = [[0.0] * 4] + [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    path = tmp_path / "rank4.json"
+    path.write_text(json.dumps({"n": 4, "support": support, "probs": [0.2] * 5}), encoding="utf-8")
+    code, out, err = run(capsys, "mi", "--dist", str(path), "--snr", "1,1,1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mideriv: error[size-limit]:")
+
+
 def test_bad_snr_text(capsys, dist_file):
     code, _, err = run(capsys, "mi", "--dist", dist_file, "--snr", "one")
     assert code == 2

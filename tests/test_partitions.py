@@ -103,6 +103,14 @@ def test_enumeration_size_guards():
         brute_force_diverse(6)
 
 
+def test_enumeration_stops_at_seven():
+    # n = 8 does not finish, so it is refused up front
+    with pytest.raises(SizeLimitError):
+        enumerate_diverse(8)
+    with pytest.raises(SizeLimitError):
+        enumerate_diverse(8, min_block_size=2)
+
+
 def test_set_partitions_bell_counts():
     for n in range(1, 7):
         assert sum(1 for _ in set_partitions(list(range(n)))) == BELL[n]

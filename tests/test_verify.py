@@ -12,8 +12,10 @@ from mideriv.verify import (
     CENTERING_TOL,
     TOLERANCE_BY_ORDER,
     DerivativeRequest,
+    default_derivative_cases,
     run_suite,
     verify_cumulant_routes,
+    verify_derivatives,
     verify_gaussian_chain,
     verify_multiquadratic,
     verify_snr_combining,
@@ -52,6 +54,21 @@ def test_derivative_suite_battery(derivative_run):
     assert names.count("triple") == 3
     for case in report.cases:
         assert case.fd_error is not None and case.fd_error <= case.tol
+
+
+def test_triple_first_order_passes_for_every_seed():
+    # the battery's seeded n=3 law must pass on any seed, not only on
+    # the seeds that reports happen to use
+    seeds = range(12, 80)
+    cases = [
+        case
+        for seed in seeds
+        for case in default_derivative_cases(seed)
+        if case.name == "triple" and case.request.orders == (1, 0, 0)
+    ]
+    report = verify_derivatives(cases=cases)
+    failed = [(seed, c.gap) for seed, c in zip(seeds, report.cases) if c.verdict != "pass"]
+    assert failed == []
 
 
 def test_adjudication_is_recorded(derivative_run):
