@@ -45,6 +45,11 @@ DEFAULT_QUAD_ORDER = 64
 QUAD_ORDER_ENV = "MIDERIV_QUAD_ORDER"
 MAX_ATOMS = 64
 MAX_TENSOR_DIM = 3
+# Joint cap on atoms * order**rank: G holds one float per atom and grid
+# point.  2**24 (128 MB for G) still admits 64 atoms on a rank-3 span at
+# the default order 64; 64 atoms on a rank-3 span at order 300 would
+# need a 648 MB grid and a 13.8 GB G.
+MAX_GRID_ATOM_POINTS = 2**24
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -406,11 +411,18 @@ def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
     adds v_0 . z_perp to every logit and cancels, so G = (v @ U) @ T.T on
     the r-dimensional grid T.  Rank n keeps G = v @ Z.T on the
     coordinate grid; rank 0 (one atom, or zero snr) uses a 1-D grid on
-    which every logit is flat.
+    which every logit is flat.  More than MAX_GRID_ATOM_POINTS atoms
+    times grid points raise SizeLimitError before any grid is built.
     """
     _, M, v, c, logp = _lik_parts(dist, spec)
     U = _difference_basis(v, dist.probs)
     rank = U.shape[1]
+    size = dist.atom_count * quad.order ** max(rank, 1)
+    if size > MAX_GRID_ATOM_POINTS:
+        raise SizeLimitError(
+            f"{dist.atom_count} atoms on a rank-{rank} order-{quad.order} grid make "
+            f"{size} atom-points: the limit is {MAX_GRID_ATOM_POINTS}"
+        )
     if rank == dist.n:
         Z, W = quad.tensor(rank)
         return M, v @ Z.T, c, logp, W
@@ -450,7 +462,7 @@ def mutual_information(
     Raises QuadratureUnderflowError when some grid point has every
     posterior term below the log floor (exp underflows to zero), and
     SizeLimitError when the support differences span more than
-    MAX_TENSOR_DIM dimensions.
+    MAX_TENSOR_DIM dimensions or the grid exceeds MAX_GRID_ATOM_POINTS.
     """
     _check_dims(dist, spec)
     M, G, c, logp, W = _grid_parts(dist, spec, _resolve_quad(quad))

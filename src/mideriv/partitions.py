@@ -20,7 +20,8 @@ from .errors import SizeLimitError, ValidationError
 # grows fast (1, 3, 16, 139, 1750, ...); the brute-force oracle walks all
 # set partitions of 2n labeled copies, so Bell(10) = 115975 is its ceiling.
 # Every result is held in memory: n = 7 gives 624,889 partitions in about
-# 28 s, and n = 8 does not finish.
+# 28 s, and n = 8 does not finish.  forms.tau_symbolic never enumerates,
+# but keeps the same slot limit.
 ENUMERATION_LIMIT = 7
 BRUTE_FORCE_LIMIT = 5
 

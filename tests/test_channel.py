@@ -9,6 +9,9 @@ import pytest
 
 from mideriv import closedform
 from mideriv.channel import (
+    DEFAULT_QUAD_ORDER,
+    MAX_ATOMS,
+    MAX_GRID_ATOM_POINTS,
     MAX_QUAD_ORDER,
     MIN_QUAD_ORDER,
     ChannelSpec,
@@ -171,6 +174,25 @@ def test_mi_dimension_guards():
         spec = ChannelSpec(tuple(0.1 * (i + 1) for i in range(n)))
         value = mutual_information(wide, spec, quad)
         assert abs(value - closedform.two_point_mi(sum(spec.snr))) < 1e-12
+
+
+def test_grid_size_limit_is_joint():
+    # 64 atoms on a rank-3 span: 64 * 300**3 atom-points at order 300
+    levels = np.array([-1.5, -0.5, 0.5, 1.5])
+    cube = DiscreteJoint(np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1).T, [1 / 64] * 64)
+    assert cube.atom_count == MAX_ATOMS
+    quad = gauss_hermite(MAX_QUAD_ORDER)
+    spec = ChannelSpec((0.1, 0.2, 0.3))
+    for call in (
+        lambda: mutual_information(cube, spec, quad),
+        lambda: mmse(cube, spec, 1, quad),
+        lambda: expected_conditional_tau(cube, spec, SlotBinding((1, 2)), quad=quad),
+    ):
+        with pytest.raises(SizeLimitError, match="atom-points"):
+            call()
+    assert 3 not in quad._grids  # raised before the grid was built
+    # the limit still admits every atom count on a rank-3 span at the default order
+    assert MAX_ATOMS * DEFAULT_QUAD_ORDER**3 <= MAX_GRID_ATOM_POINTS
 
 
 def test_posterior_mean_matches_tanh():

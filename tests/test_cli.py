@@ -69,6 +69,13 @@ def test_partitions_size_limit_error(capsys):
     assert err.startswith("mideriv: error[size-limit]:")
 
 
+def test_tau_symbolic_size_limit_error(capsys):
+    code, out, err = run(capsys, "tau", "--multiplicities", "4,4", "--symbolic")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mideriv: error[size-limit]:")
+
+
 def test_tau_symbolic_identical_collapse(capsys):
     code, out, _ = run(capsys, "tau", "--multiplicities", "3", "--bar", "--symbolic")
     assert code == 0

@@ -1,10 +1,13 @@
 """Exact symbolic expansions, moment oracles, and cumulant routes."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mideriv.closedform import random_rational_joint, random_rational_moments
 from mideriv.errors import DomainError, SizeLimitError, ValidationError
@@ -20,6 +23,7 @@ from mideriv.forms import (
     tau_symbolic,
     univariate_moment_oracle,
 )
+from mideriv.partitions import brute_force_diverse, enumerate_diverse
 
 HALF = Fraction(1, 2)
 
@@ -92,6 +96,89 @@ def test_slot_binding_from_multiplicities():
         SlotBinding.from_multiplicities((0, 0))
     with pytest.raises(SizeLimitError):
         tau_symbolic(SlotBinding.from_multiplicities((5, 4)))
+
+
+def weighted(partitions, n, min_block_size):
+    """(blocks, (-1)**(k-1) * (k-2)! * 2**(n-s)) for every raw partition kept.
+
+    These are the raw coefficients (-1)**(k-1) * (k-2)! / 2**s scaled to
+    integers over 2**n; partitions with a block below min_block_size are
+    dropped.
+    """
+    return [
+        (part.blocks, (-1) ** (part.k - 1) * math.factorial(part.k - 2) * 2 ** (n - part.s))
+        for part in partitions
+        if part.min_block_size() >= min_block_size
+    ]
+
+
+def collapse(raw, variables):
+    """Enumerate-then-collapse oracle for tau_symbolic.
+
+    Maps every block of the weighted raw partitions through the binding
+    and sums the coefficients of equal monomials.
+    """
+    acc = {}
+    for blocks, scaled in raw:
+        mono = tuple(sorted(tuple(sorted(variables[s - 1] for s in b)) for b in blocks))
+        acc[mono] = acc.get(mono, 0) + scaled
+    return SymbolicExpansion(tuple((m, Fraction(c, 2 ** len(variables))) for m, c in acc.items()))
+
+
+def multiplicity_patterns(n, largest=None):
+    """Every multiplicity pattern of order n, largest multiplicity first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in multiplicity_patterns(n - first, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_programme_matches_enumerate_then_collapse(n):
+    for mbs in (1, 2):
+        raw = weighted(enumerate_diverse(n, mbs), n, mbs)
+        for pattern in multiplicity_patterns(n):
+            binding = SlotBinding.from_multiplicities(pattern)
+            assert tau_symbolic(binding, mbs) == collapse(raw, binding.variables), (pattern, mbs)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_programme_matches_collapsed_brute_force(n):
+    partitions = brute_force_diverse(n)
+    for mbs in (1, 2):
+        raw = weighted(partitions, n, mbs)
+        for pattern in multiplicity_patterns(n):
+            binding = SlotBinding.from_multiplicities(pattern)
+            assert tau_symbolic(binding, mbs) == collapse(raw, binding.variables), (pattern, mbs)
+
+
+def test_programme_matches_oracle_on_non_contiguous_bindings():
+    for variables in ((1, 2, 1), (2, 1, 2, 1), (1, 2, 3, 1, 2)):
+        n = len(variables)
+        for mbs in (1, 2):
+            raw = weighted(enumerate_diverse(n, mbs), n, mbs)
+            assert tau_symbolic(SlotBinding(variables), mbs) == collapse(raw, variables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.sampled_from((1, 2)))
+def test_programme_matches_oracle_on_random_bindings(variables, mbs):
+    n = len(variables)
+    raw = weighted(enumerate_diverse(n, mbs), n, mbs)
+    assert tau_symbolic(SlotBinding(tuple(variables)), mbs) == collapse(raw, variables)
+
+
+def test_gaussian_chain_at_order_seven():
+    # (-1)**6 * 6! / 2, the seventh derivative of log(1 + l) / 2 at 0
+    assert tau_eval(SlotBinding((1,) * 7), gaussian_moment_oracle(), 1) == 360
+
+
+def test_symbolic_size_guard_holds_for_any_binding():
+    for variables in ((1,) * 8, tuple(range(1, 9)), (1, 2) * 4):
+        with pytest.raises(SizeLimitError):
+            tau_symbolic(SlotBinding(variables))
 
 
 def test_tau_eval_matches_symbolic_evaluate_on_random_oracles():
