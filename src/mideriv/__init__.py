@@ -11,7 +11,8 @@ Layout:
   partitions  diverse-partition enumeration with a brute-force oracle
   graphs      loop-free multigraph duals and DOT export
   forms       exact symbolic expansions, moment oracles, cumulants
-  channel     quadrature, mutual information, conditional forms
+  channel     quadrature and the one posterior pass behind mutual
+              information, mmse and conditional forms
   fd          exact-weight finite differences with Richardson control
   closedform  two-point closed forms and seeded rational generators
   verify      comparison suites and deterministic reports
@@ -26,7 +27,6 @@ from .channel import (
     gauss_hermite,
     mmse,
     mutual_information,
-    posterior_moment,
 )
 from .errors import DomainError, QuadratureUnderflowError, SizeLimitError, ValidationError
 from .fd import fd_partial, fornberg_weights, stencil_halfwidth
@@ -43,7 +43,7 @@ from .forms import (
     tau_symbolic,
     univariate_moment_oracle,
 )
-from .graphs import LabeledMultigraph, export_dot, graph_to_partition, partition_to_graph, shape_signature
+from .graphs import LabeledMultigraph, export_dot, graph_to_partition, partition_to_graph
 from .partitions import Partition, brute_force_diverse, enumerate_diverse, set_partitions
 from .verify import (
     CaseRecord,
@@ -71,7 +71,6 @@ __all__ = [
     "gauss_hermite",
     "mmse",
     "mutual_information",
-    "posterior_moment",
     "DomainError",
     "QuadratureUnderflowError",
     "SizeLimitError",
@@ -94,7 +93,6 @@ __all__ = [
     "export_dot",
     "graph_to_partition",
     "partition_to_graph",
-    "shape_signature",
     "Partition",
     "brute_force_diverse",
     "enumerate_diverse",

@@ -17,6 +17,12 @@ r = rank <= min(n, atoms - 1), whatever the channel count.  A full-rank
 span keeps the n coordinate axes; otherwise the axes are the principal
 axes of the atoms turned onto the grid diagonals.  A duplicated signal
 (r = 1) is one channel at the summed snr.
+
+Every value is one posterior pass, _posterior_pass: per mixture
+component it builds the (A, P) logits of every atom at every grid
+point, max-subtracts and exponentiates them once, and averages either
+the log-likelihood ratio (mutual information) or a function of the
+normalised posterior weights (mmse, conditional tau).
 """
 from __future__ import annotations
 
@@ -28,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from ._kernels import LOG_FLOOR, mi_accumulate, posterior_weights
 from .errors import (
     DomainError,
     QuadratureUnderflowError,
@@ -217,22 +222,6 @@ class DiscreteJoint:
         """Discrete entropy in nats, an upper bound for any channel output."""
         return float(-(self.probs * np.log(self.probs)).sum())
 
-    def prior_moment(self, block) -> float:
-        """E of the product over block (1-based coordinate ids, repeats ok)."""
-        ids = tuple(sorted(int(i) for i in block))
-        if not ids:
-            return 1.0
-        if ids[0] < 1 or ids[-1] > self.n:
-            raise DomainError(f"block {ids} leaves coordinates 1..{self.n}")
-        prod = np.ones(self.atom_count)
-        for i in ids:
-            prod = prod * self.support[:, i - 1]
-        return float(self.probs @ prod)
-
-    def variance(self, channel: int) -> float:
-        m1 = self.prior_moment((channel,))
-        return self.prior_moment((channel, channel)) - m1 * m1
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -295,19 +284,6 @@ def _resolve_quad(quad: QuadratureRule | None) -> QuadratureRule:
     if quad.order < MIN_QUAD_ORDER:
         raise DomainError(f"quadrature order {quad.order} is below the minimum {MIN_QUAD_ORDER}")
     return quad
-
-
-def _lik_parts(dist: DiscreteJoint, spec: ChannelSpec):
-    lam = np.array(spec.snr)
-    S = dist.support
-    M = S @ (lam * S).T
-    v = S * np.sqrt(lam)
-    c = 0.5 * (lam * S**2).sum(axis=1)
-    logp = np.log(dist.probs)
-    return S, M, v, c, logp
-
-
-_UNDERFLOW = f"all posterior terms below exp({LOG_FLOOR}) at some grid point"
 
 
 # Inside the span the grid axes are the principal axes of the atoms,
@@ -404,7 +380,7 @@ def _difference_basis(v: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
-    """Kernel arguments on the projected grid: M, (A, P) G, c, logp, W.
+    """Arguments of _posterior_pass on the projected grid: logp, M, G, c, W.
 
     Every logit is logp_b + M[a, b] + v_b . z - c_b; splitting z = U t +
     z_perp over the grid axes U of the difference span, the z_perp part
@@ -414,7 +390,12 @@ def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
     which every logit is flat.  More than MAX_GRID_ATOM_POINTS atoms
     times grid points raise SizeLimitError before any grid is built.
     """
-    _, M, v, c, logp = _lik_parts(dist, spec)
+    lam = np.array(spec.snr)
+    S = dist.support
+    M = S @ (lam * S).T
+    v = S * np.sqrt(lam)
+    c = 0.5 * (lam * S**2).sum(axis=1)
+    logp = np.log(dist.probs)
     U = _difference_basis(v, dist.probs)
     rank = U.shape[1]
     size = dist.atom_count * quad.order ** max(rank, 1)
@@ -425,28 +406,54 @@ def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
         )
     if rank == dist.n:
         Z, W = quad.tensor(rank)
-        return M, v @ Z.T, c, logp, W
+        return logp, M, v @ Z.T, c, W
     if rank == 0:
         _, W = quad.tensor(1)
-        return M, np.zeros((dist.atom_count, W.shape[0])), c, logp, W
+        return logp, M, np.zeros((dist.atom_count, W.shape[0])), c, W
     T, W = quad.tensor(rank)
-    return M, (v @ U) @ T.T, c, logp, W
+    return logp, M, (v @ U) @ T.T, c, W
 
 
-def _posterior_average(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule, values) -> float:
-    """Output average of values(w), a (P,) array per mixture component.
+def _posterior_pass(probs, logp, M, G, c, W, values=None) -> float:
+    """Mixture average over the grid of one (P,) array per component.
 
-    w holds the (A, P) posterior atom weights on the grid shifted to the
-    component's atom; components are averaged with their masses.
+    Layout, for A atoms on a P-point grid: probs and logp (A,) are the
+    atom masses and their logs, M (A, A) the cross terms
+    sum_i l_i x_ai x_bi, G (A, P) the atom-grid terms v_b . z, c (A,)
+    the half self-energies and W (P,) the product weights, so that
+    logp[b] + M[a, b] + G[b, g] - c[b] is the log posterior weight of
+    atom b at grid point g of the mixture component a, up to
+    normalisation.  The logits are max-subtracted before exp, so every
+    column sums to at least 1.
+
+    With values None the array is the log-likelihood ratio
+    log p(y|x_a) - log p(y) = M[a, a] + G[a] - c[a] - log sum_b
+    exp(logit_b); otherwise it is values(w) for the (A, P) normalised
+    posterior weights w.  Components are accumulated in atom order, so
+    results are bit-stable run to run.
+
+    Raises QuadratureUnderflowError when the average is not finite.
     """
-    M, G, c, logp, W = _grid_parts(dist, spec, quad)
     total = 0.0
-    for a in range(dist.atom_count):
-        w, under = posterior_weights(logp, M[a], G, c)
-        if under:
-            raise QuadratureUnderflowError(_UNDERFLOW)
-        total += dist.probs[a] * float(W @ values(w))
-    return float(total)
+    for a in range(probs.shape[0]):
+        e = (logp + M[a])[:, None] + G
+        e -= c[:, None]
+        mx = e.max(axis=0)
+        e -= mx
+        np.exp(e, out=e)
+        s = e.sum(axis=0)
+        if values is None:
+            term = (M[a, a] + G[a] - c[a]) - (mx + np.log(s))
+        else:
+            e /= s
+            term = values(e)
+        total += probs[a] * float(W @ term)
+    total = float(total)
+    if not math.isfinite(total):
+        raise QuadratureUnderflowError(
+            f"posterior average is {total!r}: the support or snr overflows float64"
+        )
+    return total
 
 
 def mutual_information(
@@ -459,49 +466,13 @@ def mutual_information(
     the projected grid plus shift integrates it.  Likelihoods stay in log
     space through a max-subtracted log-sum-exp.
 
-    Raises QuadratureUnderflowError when some grid point has every
-    posterior term below the log floor (exp underflows to zero), and
-    SizeLimitError when the support differences span more than
-    MAX_TENSOR_DIM dimensions or the grid exceeds MAX_GRID_ATOM_POINTS.
+    Raises QuadratureUnderflowError when the average is not finite (an
+    input so large that its energy overflows), and SizeLimitError when
+    the support differences span more than MAX_TENSOR_DIM dimensions or
+    the grid exceeds MAX_GRID_ATOM_POINTS.
     """
     _check_dims(dist, spec)
-    M, G, c, logp, W = _grid_parts(dist, spec, _resolve_quad(quad))
-    value, under = mi_accumulate(dist.probs, logp, M, G, c, W)
-    if under:
-        raise QuadratureUnderflowError(_UNDERFLOW)
-    return float(value)
-
-
-def posterior_moment(dist: DiscreteJoint, spec: ChannelSpec, y, block) -> float:
-    """E of the product over block given the output vector y.
-
-    block holds 1-based coordinate ids with repeats; the empty block is
-    1 for every y.  Weights are computed in log space and normalized
-    after subtracting the largest logit, so they cannot all underflow;
-    a non-finite result (from a non-finite y) raises
-    QuadratureUnderflowError.
-    """
-    _check_dims(dist, spec)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (dist.n,):
-        raise DomainError(f"y has shape {y.shape}, expected ({dist.n},)")
-    ids = tuple(sorted(int(i) for i in block))
-    if ids and (ids[0] < 1 or ids[-1] > dist.n):
-        raise DomainError(f"block {ids} leaves coordinates 1..{dist.n}")
-    if not ids:
-        return 1.0
-    S, _, v, c, logp = _lik_parts(dist, spec)
-    logits = logp + v @ y - c
-    with np.errstate(invalid="ignore"):
-        w = np.exp(logits - logits.max())
-        w /= w.sum()
-    prod = np.ones(dist.atom_count)
-    for i in ids:
-        prod = prod * S[:, i - 1]
-    value = float(w @ prod)
-    if not math.isfinite(value):
-        raise QuadratureUnderflowError(f"posterior weights are not finite at y={y.tolist()}")
-    return value
+    return _posterior_pass(dist.probs, *_grid_parts(dist, spec, _resolve_quad(quad)))
 
 
 def mmse(
@@ -513,7 +484,8 @@ def mmse(
     """E[(X_i - E[X_i|Y])**2] over the output mixture, i = channel.
 
     Lies in [0, Var(X_i)]; at zero snr the best estimate is the prior
-    mean and the value is the prior variance.
+    mean and the value is the prior variance.  A non-finite average
+    raises QuadratureUnderflowError, as in mutual_information.
     """
     _check_dims(dist, spec)
     if not 1 <= channel <= dist.n:
@@ -525,7 +497,7 @@ def mmse(
         mu = col @ w
         return col2 @ w - mu * mu
 
-    return _posterior_average(dist, spec, _resolve_quad(quad), spread)
+    return _posterior_pass(dist.probs, *_grid_parts(dist, spec, _resolve_quad(quad)), spread)
 
 
 def expected_conditional_tau(
@@ -545,7 +517,9 @@ def expected_conditional_tau(
     first-derivative content is carried by mmse/2 instead.
 
     Binding variable ids index channel coordinates.  At zero snr the
-    posterior is the prior and the value is the unconditional form.
+    posterior is the prior and the value is the unconditional form.  A
+    non-finite average raises QuadratureUnderflowError, as in
+    mutual_information.
     """
     _check_dims(dist, spec)
     if centered and binding.n < 2:
@@ -588,7 +562,7 @@ def expected_conditional_tau(
             values += term
         return values
 
-    return _posterior_average(dist, spec, _resolve_quad(quad), form)
+    return _posterior_pass(dist.probs, *_grid_parts(dist, spec, _resolve_quad(quad)), form)
 
 
 def combine_channels(

@@ -17,4 +17,4 @@ class ValidationError(ValueError):
 
 
 class QuadratureUnderflowError(ArithmeticError):
-    """Every posterior weight fell below the log-space floor."""
+    """A posterior average over the quadrature grid is not finite."""

@@ -84,7 +84,6 @@ def fd_partial(
     point: Sequence[float],
     step: float = 0.2,
     richardson_levels: int = 3,
-    lower_bound: float = 0.0,
 ) -> tuple[float, float]:
     """Mixed partial derivative of f by tensored central differences.
 
@@ -96,15 +95,14 @@ def fd_partial(
     step : base step; levels halve it (step, step/2, ..., so all samples
         lie within halfwidth*step of the point on each active axis).
     richardson_levels : number of step values entering the tableau.
-    lower_bound : every sample must keep each active coordinate >= this.
 
     Returns
     -------
     (value, error_estimate); the estimate is the magnitude of the last
     Richardson correction (nan when only one level is run).
 
-    Raises DomainError when the widest stencil would cross lower_bound;
-    shrink the step or shift the point.
+    Raises DomainError when the widest stencil would reach below 0 on an
+    active axis; shrink the step or shift the point.
     """
     orders = tuple(int(k) for k in orders)
     point = tuple(float(x) for x in point)
@@ -123,10 +121,10 @@ def fd_partial(
     stencils = {i: central_stencil(orders[i]) for i in axes}
     for i in axes:
         reach = stencil_halfwidth(orders[i]) * step
-        if point[i] - reach < lower_bound:
+        if point[i] - reach < 0.0:
             raise DomainError(
-                f"axis {i}: stencil reaches {point[i] - reach!r}, below "
-                f"{lower_bound!r}; shrink the step or shift the point"
+                f"axis {i}: stencil reaches {point[i] - reach!r}, below 0.0; "
+                "shrink the step or shift the point"
             )
     cache: dict[tuple[float, ...], float] = {}
 

@@ -4,12 +4,10 @@ A diverse partition of {1, 1, ..., n, n} places each index in exactly
 two distinct blocks, so drawing one vertex per block and one edge per
 index (joining the two blocks that contain it) yields a loop-free
 multigraph with labeled edges.  The correspondence is a bijection; both
-directions live here, along with a DOT serializer and a coarse shape
-signature used to group graphs that only differ by relabeling.
+directions live here, along with a DOT serializer.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -94,24 +92,3 @@ def export_dot(graph: LabeledMultigraph, name: str = "partition") -> str:
         lines.append(f'  v{u} -- v{v} [label="{lab}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def shape_signature(graph: LabeledMultigraph) -> tuple:
-    """Label-free shape key: (vertices, degree sequence, multiedge profile).
-
-    Two graphs that differ only by vertex renumbering and edge relabeling
-    share a signature.  This is a coarse invariant, not a full
-    isomorphism test, but it separates the five shapes arising from the
-    n=4 blocks-of-size->=2 enumeration.
-    """
-    deg = Counter()
-    multi = Counter()
-    for u, v, _ in graph.edges:
-        deg[u] += 1
-        deg[v] += 1
-        multi[(u, v)] += 1
-    return (
-        graph.vertex_count,
-        tuple(sorted(deg.values())),
-        tuple(sorted(multi.values())),
-    )

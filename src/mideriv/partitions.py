@@ -106,11 +106,6 @@ class Partition:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
-def identical_pair_count(partition: Partition) -> int:
-    """s of the partition: how many distinct block values occur twice."""
-    return partition.s
-
-
 @lru_cache(maxsize=None)
 def _enumerate_diverse(n: int, min_block_size: int) -> tuple[Partition, ...]:
     results: set[tuple[Block, ...]] = set()

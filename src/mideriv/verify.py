@@ -64,7 +64,6 @@ class DerivativeRequest:
 
     orders: tuple[int, ...]
     point: tuple[float, ...]
-    method: str = "both"
 
     def __post_init__(self) -> None:
         orders = tuple(int(k) for k in self.orders)
@@ -83,8 +82,6 @@ class DerivativeRequest:
                 raise DomainError(f"point[{i}]={lam}: active coordinates must lie in (0, 4]")
             if k == 0 and not 0.0 <= lam <= 4.0:
                 raise DomainError(f"point[{i}]={lam}: coordinates must lie in [0, 4]")
-        if self.method not in ("fd", "formula", "both"):
-            raise DomainError(f"method {self.method!r}: expected fd, formula, or both")
 
     @property
     def total_order(self) -> int:
@@ -306,38 +303,22 @@ def verify_derivatives(seed: int = 0, cases: list[DerivativeCase] | None = None)
             return _memo[x]
 
         tol = TOLERANCE_BY_ORDER[req.total_order]
-        fd_value = fd_error = None
-        if req.method in ("fd", "both"):
-            fd_value, fd_error = fd_partial(
-                f, req.orders, req.point, step=_fd_step(req), richardson_levels=RICHARDSON_LEVELS
-            )
-        formula = formula_unc = centering = None
-        if req.method in ("formula", "both"):
-            spec = ChannelSpec(req.point)
-            if req.total_order == 1:
-                channel = next(i for i, k in enumerate(req.orders) if k > 0) + 1
-                formula = 0.5 * mmse(dist, spec, channel=channel, quad=quad)
-            else:
-                binding = SlotBinding.from_multiplicities(req.orders)
-                formula = expected_conditional_tau(dist, spec, binding, centered=True, quad=quad)
-                formula_unc = expected_conditional_tau(dist, spec, binding, centered=False, quad=quad)
-                centering = abs(formula - formula_unc)
-        if req.method == "both":
-            gap = abs(fd_value - formula)
-            ok = (
-                gap <= tol
-                and fd_error <= tol
-                and (centering is None or centering <= CENTERING_TOL)
-            )
-        elif req.method == "fd":
-            gap = 0.0
-            ok = fd_error <= tol
+        fd_value, fd_error = fd_partial(
+            f, req.orders, req.point, step=_fd_step(req), richardson_levels=RICHARDSON_LEVELS
+        )
+        spec = ChannelSpec(req.point)
+        formula_unc = centering = None
+        if req.total_order == 1:
+            channel = next(i for i, k in enumerate(req.orders) if k > 0) + 1
+            formula = 0.5 * mmse(dist, spec, channel=channel, quad=quad)
         else:
-            gap = 0.0
-            ok = True
-        rel = None
-        if req.method == "both" and formula != 0.0:
-            rel = gap / abs(formula)
+            binding = SlotBinding.from_multiplicities(req.orders)
+            formula = expected_conditional_tau(dist, spec, binding, centered=True, quad=quad)
+            formula_unc = expected_conditional_tau(dist, spec, binding, centered=False, quad=quad)
+            centering = abs(formula - formula_unc)
+        gap = abs(fd_value - formula)
+        ok = gap <= tol and fd_error <= tol and (centering is None or centering <= CENTERING_TOL)
+        rel = gap / abs(formula) if formula != 0.0 else None
         records.append(
             CaseRecord(
                 suite="theorem1",

@@ -22,7 +22,8 @@ from mideriv.channel import (
     gauss_hermite,
     mmse,
     mutual_information,
-    posterior_moment,
+    _grid_parts,
+    _posterior_pass,
 )
 from mideriv.errors import DomainError, QuadratureUnderflowError, SizeLimitError, ValidationError
 from mideriv.forms import SlotBinding
@@ -196,27 +197,58 @@ def test_grid_size_limit_is_joint():
 
 
 def test_posterior_mean_matches_tanh():
-    spec = ChannelSpec((0.7,))
-    for y in (-1.3, 0.0, 0.4, 2.2):
-        value = posterior_moment(TWO_POINT, spec, [y], (1,))
-        assert abs(value - math.tanh(math.sqrt(0.7) * y)) < 1e-14
-    assert posterior_moment(TWO_POINT, spec, [0.3], ()) == 1.0
+    # the pass's normalised weights of the two-point law, at the output
+    # points y = sqrt(l) x_a + z of each component, against tanh
+    lam = 0.7
+    quad = gauss_hermite(16)
+    spec = ChannelSpec((lam,))
+    col = TWO_POINT.support[:, 0]
+    means = []
+
+    def mean(w):
+        means.append(col @ w)
+        return np.zeros(w.shape[1])
+
+    assert _posterior_pass(TWO_POINT.probs, *_grid_parts(TWO_POINT, spec, quad), mean) == 0.0
+    for x, mu in zip(col, means):
+        y = math.sqrt(lam) * x + quad.nodes
+        expected = [closedform.two_point_posterior_mean(lam, t) for t in y]
+        assert np.abs(mu - expected).max() < 1e-14
 
 
-def test_posterior_moment_of_far_apart_atoms_is_exact():
-    # both logits sit near -800, below the exp floor, but the weights are
-    # max-subtracted and the posterior is exactly the prior
-    far = DiscreteJoint([[20.0], [-20.0]], [0.5, 0.5])
-    assert posterior_moment(far, ChannelSpec((4.0,)), [0.0], (1, 1)) == 400.0
-    with pytest.raises(QuadratureUnderflowError):
-        posterior_moment(far, ChannelSpec((4.0,)), [math.inf], (1,))
+def test_far_apart_atoms_keep_mi_at_entropy():
+    # at GH 300 some grid points sit so far out that every logit there is
+    # below -745, where exp underflows; max subtraction keeps them finite
+    # and their product weight is 0.0, so mi is log 3 to roundoff
+    far = DiscreteJoint([[40.0, 0.0], [0.0, 40.0], [-40.0, -40.0]], [1 / 3, 1 / 3, 1 / 3])
+    spec = ChannelSpec((1.0, 1.0))
+    for order in (64, 128, MAX_QUAD_ORDER):
+        assert abs(mutual_information(far, spec, gauss_hermite(order)) - math.log(3)) < 1e-12
+    assert 0.0 <= mmse(far, spec, 1, gauss_hermite(MAX_QUAD_ORDER)) < 1e-150
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_average_raises_underflow():
+    # l x**2 overflows float64, so every logit is nan
+    huge = DiscreteJoint([[1e200], [-1e200]], [0.5, 0.5])
+    spec = ChannelSpec((1.0,))
+    for call in (
+        lambda: mutual_information(huge, spec),
+        lambda: mmse(huge, spec),
+        lambda: expected_conditional_tau(huge, spec, SlotBinding((1, 1))),
+    ):
+        with pytest.raises(QuadratureUnderflowError, match="overflows float64"):
+            call()
 
 
 def test_mmse_zero_snr_is_prior_variance():
     assert abs(mmse(TWO_POINT, ChannelSpec((0.0,))) - 1.0) < 1e-14
     tri = DiscreteJoint([[1.0, 2.0], [3.0, -1.0], [0.0, 1.0]], [0.25, 0.5, 0.25])
     value = mmse(tri, ChannelSpec((0.0, 0.0)), channel=2, quad=gauss_hermite(64))
-    assert abs(value - tri.variance(2)) < 1e-12
+    col = tri.support[:, 1]
+    variance = tri.probs @ col**2 - (tri.probs @ col) ** 2
+    assert abs(value - variance) < 1e-12
 
 
 def test_mmse_matches_closed_form_and_decreases():
@@ -244,8 +276,8 @@ def test_conditional_tau_centered_needs_two_slots():
 
 def test_conditional_tau_matches_direct_second_moment_form():
     # E over Y of the 2-slot centered form must equal -1/2 E[M2^2],
-    # with M2 the posterior central second moment, assembled here from
-    # raw posterior moments on the same quadrature grid.
+    # with M2 the posterior central second moment; for +-1 inputs
+    # M2 = 1 - tanh(sqrt(l) y)**2, on the same quadrature grid.
     spec = ChannelSpec((0.8,))
     quad = gauss_hermite(96)
     value = expected_conditional_tau(
@@ -255,9 +287,8 @@ def test_conditional_tau_matches_direct_second_moment_form():
     total = 0.0
     for x, px in ((1.0, 0.5), (-1.0, 0.5)):
         for z, w in zip(quad.nodes, quad.weights):
-            y = [sqrt_lam * x + z]
-            mu = posterior_moment(TWO_POINT, spec, y, (1,))
-            m2 = posterior_moment(TWO_POINT, spec, y, (1, 1)) - mu * mu
+            mu = closedform.two_point_posterior_mean(0.8, sqrt_lam * x + z)
+            m2 = 1.0 - mu * mu
             total += px * w * (-0.5) * m2 * m2
     assert abs(value - total) < 1e-12
 
@@ -293,22 +324,6 @@ def test_combine_channels_identity_and_validation():
         combine_channels(PAIR, ChannelSpec((0.5, 0.9)), groups=[[1, 3]])
     with pytest.raises(ValidationError):
         combine_channels(PAIR, ChannelSpec((0.5, 0.9)), groups=[[1], [1, 2]])
-
-
-def test_kernel_underflow_flag_raises():
-    from mideriv import _kernels
-
-    probs = np.array([1.0])
-    logp = np.array([0.0])
-    M = np.array([[-800.0]])
-    G = np.zeros((1, 1))
-    c = np.array([0.0])
-    W = np.array([1.0])
-    with pytest.raises(Exception) as info:
-        value, under = _kernels.mi_accumulate(probs, logp, M, G, c, W)
-        if under:
-            raise QuadratureUnderflowError("all terms under the log floor")
-    assert info.type is QuadratureUnderflowError
 
 
 def test_random_joints_have_exact_unit_mass():

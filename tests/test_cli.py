@@ -131,6 +131,17 @@ def test_mi_matches_closed_form(capsys, dist_file):
     assert abs(payload["value"] - closedform.two_point_mi(1.0)) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_mi_non_finite_value_is_an_underflow_error(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1, "support": [[1e200], [-1e200]], "probs": [0.5, 0.5]}\n', encoding="utf-8")
+    code, out, err = run(capsys, "mi", "--dist", str(path), "--snr", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mideriv: error[underflow]:")
+
+
 def test_mi_missing_file_gives_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "mi", "--dist", str(tmp_path / "absent.json"), "--snr", "1")
     assert code == 2

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import re
-from collections import Counter
 
 import pytest
 
@@ -12,7 +11,6 @@ from mideriv.graphs import (
     export_dot,
     graph_to_partition,
     partition_to_graph,
-    shape_signature,
 )
 from mideriv.partitions import Partition, enumerate_diverse
 
@@ -71,20 +69,6 @@ def test_dot_export_parses_back_to_the_same_graph():
         assert sorted(edges, key=lambda e: e[2]) == sorted(
             [(u, v, lab) for u, v, lab in graph.edges], key=lambda e: e[2]
         )
-
-
-def test_shape_classes_of_the_sixteen_restricted_partitions():
-    shapes = Counter(
-        shape_signature(partition_to_graph(p)) for p in enumerate_diverse(4, 2)
-    )
-    assert sum(shapes.values()) == 16
-    assert sorted(shapes.values()) == [1, 3, 3, 3, 6]
-
-
-def test_shape_signature_separates_known_pair():
-    triangle = partition_to_graph(Partition(((1, 2), (1, 3), (2, 3))))
-    doubled = partition_to_graph(Partition(((1, 2, 3), (1, 2, 3))))
-    assert shape_signature(triangle) != shape_signature(doubled)
 
 
 def test_multigraph_validation():

@@ -1,8 +1,8 @@
-"""Grid kernels against pure-Python loops, and symmetry properties.
+"""The posterior pass against pure-Python loops, and symmetry properties.
 
 The reference loops walk components, grid points and atoms one scalar
 at a time, so they share no reduction order or array layout with the
-vectorised kernels they check.
+vectorised pass they check.
 """
 from __future__ import annotations
 
@@ -13,17 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mideriv import _kernels
-from mideriv.channel import ChannelSpec, DiscreteJoint, gauss_hermite, mmse, mutual_information
-
-LOG_FLOOR = _kernels.LOG_FLOOR
+from mideriv.channel import (
+    ChannelSpec,
+    DiscreteJoint,
+    gauss_hermite,
+    mmse,
+    mutual_information,
+    _posterior_pass,
+)
+from mideriv.errors import QuadratureUnderflowError
 
 
 def _mi_reference(probs, logp, M, G, c, W):
     probs, logp, M, G, c, W = (np.asarray(x).tolist() for x in (probs, logp, M, G, c, W))
     A = len(probs)
     total = 0.0
-    under = False
     for a in range(A):
         acc = 0.0
         for g in range(len(W)):
@@ -32,22 +36,19 @@ def _mi_reference(probs, logp, M, G, c, W):
                 t = logp[b] + M[a][b] + G[b][g] - c[b]
                 if t > mx:
                     mx = t
-            if mx < LOG_FLOOR:
-                under = True
             s = 0.0
             for b in range(A):
                 s += math.exp(logp[b] + M[a][b] + G[b][g] - c[b] - mx)
             lse = mx + math.log(s)
             acc += W[g] * ((M[a][a] + G[a][g] - c[a]) - lse)
         total += probs[a] * acc
-    return total, under
+    return total
 
 
 def _weights_reference(logp, Mrow, G, c):
     logp, Mrow, G, c = (np.asarray(x).tolist() for x in (logp, Mrow, G, c))
     A, P = len(logp), len(G[0])
     w = [[0.0] * P for _ in range(A)]
-    under = False
     for g in range(P):
         mx = -math.inf
         for b in range(A):
@@ -55,19 +56,17 @@ def _weights_reference(logp, Mrow, G, c):
             w[b][g] = t
             if t > mx:
                 mx = t
-        if mx < LOG_FLOOR:
-            under = True
         s = 0.0
         for b in range(A):
             w[b][g] = math.exp(w[b][g] - mx)
             s += w[b][g]
         for b in range(A):
             w[b][g] /= s
-    return np.array(w), under
+    return np.array(w)
 
 
-def _kernel_args(seed, n, atoms, order):
-    """Kernel arguments for a seeded law, built straight from the layout."""
+def _pass_args(seed, n, atoms, order):
+    """Pass arguments for a seeded law, built straight from the layout."""
     rng = np.random.default_rng(seed)
     S = rng.uniform(-2.0, 2.0, size=(atoms, n))
     probs = rng.dirichlet(np.ones(atoms))
@@ -79,32 +78,47 @@ def _kernel_args(seed, n, atoms, order):
     return probs, np.log(probs), M, G, c, W
 
 
+def _pass_weights(probs, logp, M, G, c, W):
+    """The normalised (A, P) weights the pass hands out, per component."""
+    seen = []
+
+    def keep(w):
+        seen.append(w.copy())
+        return np.zeros(w.shape[1])
+
+    assert _posterior_pass(probs, logp, M, G, c, W, keep) == 0.0
+    return seen
+
+
 CASES = [(1, 1, 16), (1, 6, 20), (2, 2, 19), (2, 5, 16), (3, 3, 16), (3, 6, 17)]
 
 
 @pytest.mark.parametrize("n,atoms,order", CASES)
 def test_kernels_match_loop_reference(n, atoms, order):
-    probs, logp, M, G, c, W = _kernel_args(100 * n + atoms, n, atoms, order)
-    value, under = _kernels.mi_accumulate(probs, logp, M, G, c, W)
-    ref, ref_under = _mi_reference(probs, logp, M, G, c, W)
-    assert under is ref_under is False
-    assert abs(value - ref) < 1e-13
-    for a in range(atoms):
-        w, under = _kernels.posterior_weights(logp, M[a], G, c)
-        ref_w, ref_under = _weights_reference(logp, M[a], G, c)
+    args = _pass_args(100 * n + atoms, n, atoms, order)
+    _, logp, M, G, c, W = args
+    assert abs(_posterior_pass(*args) - _mi_reference(*args)) < 1e-13
+    weights = _pass_weights(*args)
+    assert len(weights) == atoms
+    for a, w in enumerate(weights):
         assert w.shape == (atoms, len(W))
-        assert under is ref_under is False
-        assert np.abs(w - ref_w).max() < 1e-13
+        assert np.abs(w - _weights_reference(logp, M[a], G, c)).max() < 1e-13
 
 
-def test_kernel_underflow_flags_match_loop_reference():
-    probs, logp, M, G, c, W = _kernel_args(5, 1, 2, 16)
+def test_pass_raises_only_on_non_finite_average():
+    # logits 1000 below the rest at one grid point leave every weight
+    # there finite after max subtraction: no raise, same value as the loop
+    probs, logp, M, G, c, W = _pass_args(5, 1, 2, 16)
     G = G.copy()
     G[:, 3] -= 1000.0
-    assert _kernels.mi_accumulate(probs, logp, M, G, c, W)[1] is True
-    assert _mi_reference(probs, logp, M, G, c, W)[1] is True
-    assert _kernels.posterior_weights(logp, M[0], G, c)[1] is True
-    assert _weights_reference(logp, M[0], G, c)[1] is True
+    args = (probs, logp, M, G, c, W)
+    assert abs(_posterior_pass(*args) - _mi_reference(*args)) < 1e-13
+    for a, w in enumerate(_pass_weights(*args)):
+        assert np.abs(w - _weights_reference(logp, M[a], G, c)).max() < 1e-13
+    G[0, 3] = math.inf
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        with pytest.raises(QuadratureUnderflowError):
+            _posterior_pass(*args)
 
 
 @st.composite

@@ -10,7 +10,6 @@ from mideriv.partitions import (
     Partition,
     brute_force_diverse,
     enumerate_diverse,
-    identical_pair_count,
     set_partitions,
 )
 
@@ -42,7 +41,6 @@ def test_every_partition_is_a_valid_diverse_cover():
                     seen[v] = seen.get(v, 0) + 1
             assert seen == {v: 2 for v in range(1, n + 1)}
             assert part.is_diverse
-            assert part.s == identical_pair_count(part)
             assert part.s == sum(1 for b in set(part.blocks) if part.blocks.count(b) == 2)
 
 

@@ -1,10 +1,10 @@
 """Projected quadrature against the full tensor grid.
 
-The oracle rebuilds the kernel arguments from the support on the full
+The oracle rebuilds the pass arguments from the support on the full
 n-axis tensor grid of the rule, with no projection, and runs them
-through the same kernels.  Rank-deficient laws must agree with it at
-converged orders; full-rank laws, which keep the coordinate axes, must
-agree bit for bit.  Symmetric laws, whose principal axes tie, check that
+through the same posterior pass.  Rank-deficient laws must agree with
+it at converged orders; full-rank laws, which keep the coordinate axes,
+must agree bit for bit.  Symmetric laws, whose principal axes tie, check that
 the projected grid does not turn with the order of atoms or channels.
 """
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mideriv import _kernels
 from mideriv.channel import (
     ChannelSpec,
     DiscreteJoint,
@@ -24,6 +23,7 @@ from mideriv.channel import (
     gauss_hermite,
     mmse,
     mutual_information,
+    _posterior_pass,
 )
 from mideriv.forms import SlotBinding
 
@@ -35,24 +35,15 @@ def _full_tensor(dist, spec, quad):
     v = S * np.sqrt(lam)
     c = 0.5 * (lam * S**2).sum(axis=1)
     Z, W = quad.tensor(dist.n)
-    return M, v @ Z.T, c, np.log(dist.probs), W
+    return dist.probs, np.log(dist.probs), M, v @ Z.T, c, W
 
 
 def oracle_mi(dist, spec, quad):
-    M, G, c, logp, W = _full_tensor(dist, spec, quad)
-    value, under = _kernels.mi_accumulate(dist.probs, logp, M, G, c, W)
-    assert not under
-    return float(value)
+    return _posterior_pass(*_full_tensor(dist, spec, quad))
 
 
 def _oracle_average(dist, spec, quad, values):
-    M, G, c, logp, W = _full_tensor(dist, spec, quad)
-    total = 0.0
-    for a in range(dist.atom_count):
-        w, under = _kernels.posterior_weights(logp, M[a], G, c)
-        assert not under
-        total += dist.probs[a] * float(W @ values(w))
-    return float(total)
+    return _posterior_pass(*_full_tensor(dist, spec, quad), values)
 
 
 def oracle_mmse(dist, spec, quad, channel):

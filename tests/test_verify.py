@@ -34,8 +34,6 @@ def test_request_validation():
         DerivativeRequest((1,), (0.0,))  # active axis at 0
     with pytest.raises(DomainError):
         DerivativeRequest((1, 0), (0.5,))
-    with pytest.raises(DomainError):
-        DerivativeRequest((1,), (0.5,), method="exact")
 
 
 def test_tolerance_schedule_is_pinned():
