@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +46,6 @@ MIN_QUAD_ORDER = 16
 # NaN weights; 300 is verified clean.
 MAX_QUAD_ORDER = 300
 DEFAULT_QUAD_ORDER = 64
-QUAD_ORDER_ENV = "MIDERIV_QUAD_ORDER"
 MAX_ATOMS = 64
 MAX_TENSOR_DIM = 3
 # Joint cap on atoms * order**rank: G holds one float per atom and grid
@@ -57,22 +55,6 @@ MAX_TENSOR_DIM = 3
 MAX_GRID_ATOM_POINTS = 2**24
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def default_quad_order() -> int:
-    """Default per-axis order, overridable via MIDERIV_QUAD_ORDER."""
-    raw = os.environ.get(QUAD_ORDER_ENV)
-    if raw is None or raw.strip() == "":
-        return DEFAULT_QUAD_ORDER
-    try:
-        order = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{QUAD_ORDER_ENV}: {raw!r} is not an integer") from exc
-    if not MIN_QUAD_ORDER <= order <= MAX_QUAD_ORDER:
-        raise ValidationError(
-            f"{QUAD_ORDER_ENV}: {order} outside {MIN_QUAD_ORDER}..{MAX_QUAD_ORDER}"
-        )
-    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +262,7 @@ def _check_dims(dist: DiscreteJoint, spec: ChannelSpec) -> None:
 
 def _resolve_quad(quad: QuadratureRule | None) -> QuadratureRule:
     if quad is None:
-        return gauss_hermite(default_quad_order())
+        return gauss_hermite(DEFAULT_QUAD_ORDER)
     if quad.order < MIN_QUAD_ORDER:
         raise DomainError(f"quadrature order {quad.order} is below the minimum {MIN_QUAD_ORDER}")
     return quad
@@ -345,10 +327,11 @@ def _difference_basis(v: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
     The rank and the span come from the SVD of v[1:] - v[0], at the
     default tolerance of np.linalg.matrix_rank; a rank above
-    MAX_TENSOR_DIM raises SizeLimitError.  Rank 0 and rank n keep the
-    coordinate axes.  Otherwise the axes are the principal axes of the
-    centered atoms, with ties settled by _atom_frame and signs by
-    _orientation, turned by _DIAGONALS.  They depend on the law, not on
+    MAX_TENSOR_DIM raises SizeLimitError.  Rank n keeps the coordinate
+    axes, and rank 0 (one atom, or zero snr) gets one null axis, on
+    which every logit is flat.  Otherwise the axes are the principal
+    axes of the centered atoms, with ties settled by _atom_frame and
+    signs by _orientation, turned by _DIAGONALS.  They depend on the law, not on
     the order of its atoms or channels, so permuting either leaves every
     projected value unchanged.
     """
@@ -363,8 +346,10 @@ def _difference_basis(v: np.ndarray, probs: np.ndarray) -> np.ndarray:
             f"support differences span {rank} dimensions: "
             f"quadrature paths support rank 0..{MAX_TENSOR_DIM}"
         )
-    if rank in (0, n):
-        return np.eye(n)[:, :rank]
+    if rank == 0:
+        return np.zeros((n, 1))
+    if rank == n:
+        return np.eye(n)
     span = vt[:rank].T
     Y = (v - v.mean(axis=0)) @ span
     _, s, rt = np.linalg.svd(Y, full_matrices=False)
@@ -385,10 +370,9 @@ def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
     Every logit is logp_b + M[a, b] + v_b . z - c_b; splitting z = U t +
     z_perp over the grid axes U of the difference span, the z_perp part
     adds v_0 . z_perp to every logit and cancels, so G = (v @ U) @ T.T on
-    the r-dimensional grid T.  Rank n keeps G = v @ Z.T on the
-    coordinate grid; rank 0 (one atom, or zero snr) uses a 1-D grid on
-    which every logit is flat.  More than MAX_GRID_ATOM_POINTS atoms
-    times grid points raise SizeLimitError before any grid is built.
+    the tensor grid T with one axis per column of U.  More than
+    MAX_GRID_ATOM_POINTS atoms times grid points raise SizeLimitError
+    before any grid is built.
     """
     lam = np.array(spec.snr)
     S = dist.support
@@ -397,20 +381,14 @@ def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
     c = 0.5 * (lam * S**2).sum(axis=1)
     logp = np.log(dist.probs)
     U = _difference_basis(v, dist.probs)
-    rank = U.shape[1]
-    size = dist.atom_count * quad.order ** max(rank, 1)
+    axes = U.shape[1]
+    size = dist.atom_count * quad.order**axes
     if size > MAX_GRID_ATOM_POINTS:
         raise SizeLimitError(
-            f"{dist.atom_count} atoms on a rank-{rank} order-{quad.order} grid make "
+            f"{dist.atom_count} atoms on a rank-{axes} order-{quad.order} grid make "
             f"{size} atom-points: the limit is {MAX_GRID_ATOM_POINTS}"
         )
-    if rank == dist.n:
-        Z, W = quad.tensor(rank)
-        return logp, M, v @ Z.T, c, W
-    if rank == 0:
-        _, W = quad.tensor(1)
-        return logp, M, np.zeros((dist.atom_count, W.shape[0])), c, W
-    T, W = quad.tensor(rank)
+    T, W = quad.tensor(axes)
     return logp, M, (v @ U) @ T.T, c, W
 
 

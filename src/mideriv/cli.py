@@ -13,20 +13,12 @@ import json
 import sys
 from pathlib import Path
 
-from .channel import (
-    ChannelSpec,
-    DiscreteJoint,
-    default_quad_order,
-    gauss_hermite,
-    mmse,
-    mutual_information,
-)
+from .channel import DEFAULT_QUAD_ORDER, ChannelSpec, DiscreteJoint, gauss_hermite, mutual_information
 from .errors import DomainError, QuadratureUnderflowError, SizeLimitError, ValidationError
-from .fd import fd_partial
 from .forms import SlotBinding, tau_symbolic
 from .graphs import export_dot, partition_to_graph
 from .partitions import enumerate_diverse
-from .verify import SUITE_NAMES, DerivativeRequest, _fd_step, run_suite
+from .verify import SUITE_NAMES, DerivativeRequest, fd_mi_partial, partition_formula, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -137,36 +129,19 @@ def cmd_tau(args: argparse.Namespace) -> int:
     dist = _load_dist(args.dist)
     snr = _parse_snr(args.snr)
     spec = ChannelSpec(snr)
-    quad_order = args.quad_order if args.quad_order is not None else default_quad_order()
-    quad = gauss_hermite(quad_order)
-    total = sum(multiplicities)
-    if total == 1:
-        channel = next(i for i, k in enumerate(multiplicities) if k > 0) + 1
-        value = 0.5 * mmse(dist, spec, channel=channel, quad=quad)
-    else:
-        from .channel import expected_conditional_tau
-
-        binding = SlotBinding.from_multiplicities(multiplicities)
-        value = expected_conditional_tau(dist, spec, binding, centered=True, quad=quad)
+    quad = gauss_hermite(args.quad_order)
+    value = partition_formula(dist, spec, multiplicities, quad)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "tau",
         "mode": "numeric",
         "multiplicities": list(multiplicities),
         "snr": list(snr),
-        "quad_order": quad_order,
+        "quad_order": args.quad_order,
         "value": value,
     }
     if not args.no_fd:
-        request = DerivativeRequest(multiplicities, snr)
-        memo: dict[tuple[float, ...], float] = {}
-
-        def f(x: tuple[float, ...]) -> float:
-            if x not in memo:
-                memo[x] = mutual_information(dist, ChannelSpec(x), quad)
-            return memo[x]
-
-        fd_value, fd_error = fd_partial(f, request.orders, request.point, step=_fd_step(request))
+        fd_value, fd_error = fd_mi_partial(dist, DerivativeRequest(multiplicities, snr), quad)
         payload["fd"] = fd_value
         payload["fd_error"] = fd_error
         payload["gap"] = abs(fd_value - value)
@@ -184,15 +159,14 @@ def cmd_mi(args: argparse.Namespace) -> int:
     dist = _load_dist(args.dist)
     snr = _parse_snr(args.snr)
     spec = ChannelSpec(snr)
-    quad_order = args.quad_order if args.quad_order is not None else default_quad_order()
-    value = mutual_information(dist, spec, gauss_hermite(quad_order))
+    value = mutual_information(dist, spec, gauss_hermite(args.quad_order))
     if args.format == "json":
         _print_json(
             {
                 "schema": SCHEMA_VERSION,
                 "command": "mi",
                 "snr": list(snr),
-                "quad_order": quad_order,
+                "quad_order": args.quad_order,
                 "value": value,
             }
         )
@@ -242,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbolic", action="store_true", help="print the exact expansion instead of a value")
     p.add_argument("--dist", help="numeric mode: input law JSON file")
     p.add_argument("--snr", help="numeric mode: comma-separated snr vector")
-    p.add_argument("--quad-order", type=int, default=None, help="Gauss-Hermite order (default: env or 64)")
+    p.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER, help="Gauss-Hermite order (default: %(default)s)")
     p.add_argument("--no-fd", action="store_true", help="numeric mode: skip the finite-difference cross-check")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_tau)
@@ -250,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mi", help="mutual information of a finite input law")
     p.add_argument("--dist", required=True, help="input law JSON file")
     p.add_argument("--snr", required=True, help="comma-separated snr vector")
-    p.add_argument("--quad-order", type=int, default=None, help="Gauss-Hermite order (default: env or 64)")
+    p.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER, help="Gauss-Hermite order (default: %(default)s)")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_mi)
 

@@ -340,7 +340,7 @@ def _tau_symbolic(variables: tuple[int, ...], min_block_size: int) -> SymbolicEx
     """Collapsed expansion by a dynamic programme over the slots.
 
     The raw sum runs over the diverse partitions of {1, 1, ..., n, n},
-    built index by index as in partitions._enumerate_diverse.  Here the
+    built index by index as in partitions.enumerate_diverse.  Here the
     state after each slot is the sorted multiset of units (the raw block
     values with their contents mapped through the binding), weighted by
     how many raw partial partitions map onto it.  k and s stay exact:

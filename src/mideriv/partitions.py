@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import SizeLimitError, ValidationError
@@ -106,8 +105,27 @@ class Partition:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
-@lru_cache(maxsize=None)
-def _enumerate_diverse(n: int, min_block_size: int) -> tuple[Partition, ...]:
+def enumerate_diverse(n: int, min_block_size: int = 1) -> list[Partition]:
+    """All diverse partitions of {1, 1, ..., n, n}, canonical, sorted.
+
+    Parameters
+    ----------
+    n : int
+        Number of distinct indices, 1 <= n <= 7.
+    min_block_size : {1, 2}
+        With 2, keep only partitions whose blocks all have size >= 2
+        (the index set of the centered form).
+
+    Returns
+    -------
+    list of Partition, ordered by (block count, block list).
+    """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SizeLimitError(f"n={n!r}: expected an integer in 1..{ENUMERATION_LIMIT}")
+    if not 1 <= n <= ENUMERATION_LIMIT:
+        raise SizeLimitError(f"n={n}: supported enumeration range is 1..{ENUMERATION_LIMIT}")
+    if min_block_size not in (1, 2):
+        raise ValidationError(f"min_block_size: got {min_block_size!r}, expected 1 or 2")
     results: set[tuple[Block, ...]] = set()
 
     def extend(blocks: tuple[Block, ...], i: int) -> None:
@@ -146,31 +164,7 @@ def _enumerate_diverse(n: int, min_block_size: int) -> tuple[Partition, ...]:
 
     extend((), 1)
     ordered = sorted(results, key=lambda p: (len(p), p))
-    return tuple(Partition(p) for p in ordered)
-
-
-def enumerate_diverse(n: int, min_block_size: int = 1) -> list[Partition]:
-    """All diverse partitions of {1, 1, ..., n, n}, canonical, sorted.
-
-    Parameters
-    ----------
-    n : int
-        Number of distinct indices, 1 <= n <= 7.
-    min_block_size : {1, 2}
-        With 2, keep only partitions whose blocks all have size >= 2
-        (the index set of the centered form).
-
-    Returns
-    -------
-    list of Partition, ordered by (block count, block list).
-    """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SizeLimitError(f"n={n!r}: expected an integer in 1..{ENUMERATION_LIMIT}")
-    if not 1 <= n <= ENUMERATION_LIMIT:
-        raise SizeLimitError(f"n={n}: supported enumeration range is 1..{ENUMERATION_LIMIT}")
-    if min_block_size not in (1, 2):
-        raise ValidationError(f"min_block_size: got {min_block_size!r}, expected 1 or 2")
-    return list(_enumerate_diverse(n, min_block_size))
+    return [Partition(p) for p in ordered]
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:

@@ -24,6 +24,7 @@ from . import closedform
 from .channel import (
     ChannelSpec,
     DiscreteJoint,
+    QuadratureRule,
     combine_channels,
     expected_conditional_tau,
     gauss_hermite,
@@ -234,11 +235,53 @@ def default_derivative_cases(seed: int = 0) -> list[DerivativeCase]:
     return cases
 
 
-def _fd_step(request: DerivativeRequest) -> float:
+def partition_formula(
+    dist: DiscreteJoint,
+    spec: ChannelSpec,
+    orders: tuple[int, ...],
+    quad: QuadratureRule,
+    centered: bool = True,
+) -> float:
+    """The formula side of the check: the partial of I with these orders.
+
+    Total order 1 is mmse/2 of the active channel (the adopted
+    convention); higher orders are the output average of the
+    conditional partition form, centered or not.  Orders may exceed the
+    range finite differences cover.
+    """
+    if sum(orders) == 1:
+        channel = next(i for i, k in enumerate(orders) if k > 0) + 1
+        return 0.5 * mmse(dist, spec, channel=channel, quad=quad)
+    binding = SlotBinding.from_multiplicities(orders)
+    return expected_conditional_tau(dist, spec, binding, centered=centered, quad=quad)
+
+
+def fd_mi_partial(
+    dist: DiscreteJoint,
+    request: DerivativeRequest,
+    quad: QuadratureRule,
+    memo: dict[tuple[float, ...], float] | None = None,
+) -> tuple[float, float]:
+    """The fd side of the check: (value, error estimate) of the partial.
+
+    Finite-differences the directly computed mutual information with
+    the step min(FD_BASE_STEP, 0.9 * lowest active snr / stencil
+    half-width) and RICHARDSON_LEVELS.  memo maps snr points to mi
+    values; share it only between requests on the same law and rule.
+    """
+    if memo is None:
+        memo = {}
+
+    def f(x: tuple[float, ...]) -> float:
+        if x not in memo:
+            memo[x] = mutual_information(dist, ChannelSpec(x), quad)
+        return memo[x]
+
     active = [i for i, k in enumerate(request.orders) if k > 0]
     reach = max(stencil_halfwidth(request.orders[i]) for i in active)
     low = min(request.point[i] for i in active)
-    return min(FD_BASE_STEP, 0.9 * low / reach)
+    step = min(FD_BASE_STEP, 0.9 * low / reach)
+    return fd_partial(f, request.orders, request.point, step=step, richardson_levels=RICHARDSON_LEVELS)
 
 
 def adjudicate_first_derivative() -> dict:
@@ -248,17 +291,7 @@ def adjudicate_first_derivative() -> dict:
     information at snr 1 and compares with the closed-form mmse and
     mmse/2.  The data picks the convention; nothing is patched by hand.
     """
-    dist = two_point_input()
-    quad = gauss_hermite(128)
-    memo: dict[tuple[float, ...], float] = {}
-
-    def f(x: tuple[float, ...]) -> float:
-        if x not in memo:
-            memo[x] = mutual_information(dist, ChannelSpec(x), quad)
-        return memo[x]
-
-    step = min(FD_BASE_STEP, 0.9 * 1.0 / stencil_halfwidth(1))
-    value, estimate = fd_partial(f, (1,), (1.0,), step=step, richardson_levels=RICHARDSON_LEVELS)
+    value, estimate = fd_mi_partial(two_point_input(), DerivativeRequest((1,), (1.0,)), gauss_hermite(128))
     full = closedform.two_point_mmse(1.0)
     half = 0.5 * full
     gap_half = abs(value - half)
@@ -285,36 +318,25 @@ def verify_derivatives(seed: int = 0, cases: list[DerivativeCase] | None = None)
     Per total order, the gap and the fd error estimate must both stay
     inside TOLERANCE_BY_ORDER; orders >= 2 additionally require the
     centered and uncentered formula paths to agree within CENTERING_TOL.
+    Cases on the same law and quadrature order share their mi samples.
     CLI suite name: theorem1.
     """
     if cases is None:
         cases = default_derivative_cases(seed)
-    memos: dict[int, dict] = {}
+    memos: dict[tuple[int, int], dict] = {}
     records: list[CaseRecord] = []
     for case in cases:
         dist = case.dist
         req = case.request
         quad = gauss_hermite(case.quad_order)
-        memo = memos.setdefault(id(dist), {})
-
-        def f(x: tuple[float, ...], _dist=dist, _quad=quad, _memo=memo) -> float:
-            if x not in _memo:
-                _memo[x] = mutual_information(_dist, ChannelSpec(x), _quad)
-            return _memo[x]
-
+        memo = memos.setdefault((id(dist), case.quad_order), {})
         tol = TOLERANCE_BY_ORDER[req.total_order]
-        fd_value, fd_error = fd_partial(
-            f, req.orders, req.point, step=_fd_step(req), richardson_levels=RICHARDSON_LEVELS
-        )
+        fd_value, fd_error = fd_mi_partial(dist, req, quad, memo)
         spec = ChannelSpec(req.point)
+        formula = partition_formula(dist, spec, req.orders, quad)
         formula_unc = centering = None
-        if req.total_order == 1:
-            channel = next(i for i, k in enumerate(req.orders) if k > 0) + 1
-            formula = 0.5 * mmse(dist, spec, channel=channel, quad=quad)
-        else:
-            binding = SlotBinding.from_multiplicities(req.orders)
-            formula = expected_conditional_tau(dist, spec, binding, centered=True, quad=quad)
-            formula_unc = expected_conditional_tau(dist, spec, binding, centered=False, quad=quad)
+        if req.total_order > 1:
+            formula_unc = partition_formula(dist, spec, req.orders, quad, centered=False)
             centering = abs(formula - formula_unc)
         gap = abs(fd_value - formula)
         ok = gap <= tol and fd_error <= tol and (centering is None or centering <= CENTERING_TOL)

@@ -17,7 +17,6 @@ from mideriv.channel import (
     ChannelSpec,
     DiscreteJoint,
     combine_channels,
-    default_quad_order,
     expected_conditional_tau,
     gauss_hermite,
     mmse,
@@ -65,16 +64,6 @@ def test_tensor_grid_is_lexicographic_with_product_weights():
     assert abs(W.sum() - 1.0) < 1e-12
     with pytest.raises(SizeLimitError):
         rule.tensor(4)
-
-
-def test_default_quad_order_env(monkeypatch):
-    monkeypatch.delenv("MIDERIV_QUAD_ORDER", raising=False)
-    assert default_quad_order() == 64
-    monkeypatch.setenv("MIDERIV_QUAD_ORDER", "128")
-    assert default_quad_order() == 128
-    monkeypatch.setenv("MIDERIV_QUAD_ORDER", "nope")
-    with pytest.raises(ValidationError):
-        default_quad_order()
 
 
 def test_joint_validation_names_fields():

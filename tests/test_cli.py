@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from mideriv import closedform
 from mideriv.cli import main
 from mideriv.partitions import enumerate_diverse
+from mideriv.verify import default_derivative_cases, verify_derivatives
 
 TWO_POINT_JSON = '{"n": 1, "support": [[1.0], [-1.0]], "probs": [0.5, 0.5]}\n'
 
@@ -107,6 +109,37 @@ def test_tau_numeric_prints_fd_gap(capsys, dist_file):
     assert payload["mode"] == "numeric"
     assert payload["gap"] < 1e-7
     assert payload["fd_error"] < 1e-7
+
+
+def test_tau_numeric_gives_the_battery_row(capsys, dist_file):
+    # the command runs the theorem1 check: same fd, fd error, formula and gap
+    code, out, _ = run(
+        capsys, "tau", "--multiplicities", "2", "--dist", dist_file,
+        "--snr", "0.8", "--quad-order", "128", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    cases = [c for c in default_derivative_cases(7) if c.name == "two-point" and c.request.orders == (2,)]
+    assert [(c.request.point, c.quad_order) for c in cases] == [((0.8,), 128)]
+    row = verify_derivatives(7, cases=cases).cases[0]
+    assert payload["fd"] == row.fd
+    assert payload["fd_error"] == row.fd_error
+    assert payload["value"] == row.formula
+    assert payload["gap"] == row.gap
+
+
+def test_tau_numeric_past_fd_orders_needs_no_fd(capsys, dist_file):
+    # finite differences cover total orders 1..4; the formula alone does not stop there
+    argv = ["tau", "--multiplicities", "5", "--dist", dist_file, "--snr", "0.8", "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--no-fd")
+    assert code == 0
+    payload = json.loads(out)
+    assert math.isfinite(payload["value"])
+    assert "fd" not in payload
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mideriv: error[domain]:")
 
 
 def test_tau_numeric_without_dist_is_an_error(capsys):

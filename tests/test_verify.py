@@ -7,10 +7,12 @@ import json
 
 import pytest
 
+from mideriv import verify
 from mideriv.errors import DomainError, ValidationError
 from mideriv.verify import (
     CENTERING_TOL,
     TOLERANCE_BY_ORDER,
+    DerivativeCase,
     DerivativeRequest,
     default_derivative_cases,
     run_suite,
@@ -19,6 +21,7 @@ from mideriv.verify import (
     verify_gaussian_chain,
     verify_multiquadratic,
     verify_snr_combining,
+    two_point_input,
 )
 
 
@@ -67,6 +70,33 @@ def test_triple_first_order_passes_for_every_seed():
     report = verify_derivatives(cases=cases)
     failed = [(seed, c.gap) for seed, c in zip(seeds, report.cases) if c.verdict != "pass"]
     assert failed == []
+
+
+def test_a_law_at_two_quadrature_orders_keeps_two_sample_sets():
+    # a GH-16 case run first must not lend its mi samples to a GH-300
+    # case on the same law
+    law = two_point_input()
+    request = DerivativeRequest((2,), (0.8,))
+    both = verify_derivatives(
+        cases=[DerivativeCase("lo", law, request, 16), DerivativeCase("hi", law, request, 300)]
+    )
+    alone = verify_derivatives(cases=[DerivativeCase("hi", law, request, 300)])
+    assert both.cases[1].to_dict() == alone.cases[0].to_dict()
+    assert both.cases[1].passed
+
+
+def test_cases_on_one_law_and_rule_share_mi_samples(monkeypatch):
+    calls = []
+    mi = verify.mutual_information
+    monkeypatch.setattr(verify, "mutual_information", lambda *a: calls.append(a) or mi(*a))
+    law = two_point_input()
+    cases = [DerivativeCase("two", law, DerivativeRequest((k,), (0.8,)), 16) for k in (1, 2)]
+    verify_derivatives(cases=cases)
+    shared = len(calls)
+    calls.clear()
+    for case in cases:
+        verify_derivatives(cases=[case])
+    assert shared < len(calls)
 
 
 def test_adjudication_is_recorded(derivative_run):
