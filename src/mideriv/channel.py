@@ -39,7 +39,7 @@ from .errors import (
     SizeLimitError,
     ValidationError,
 )
-from .forms import SlotBinding, tau_symbolic
+from .forms import MomentOracle, SlotBinding, tau_symbolic
 
 MIN_QUAD_ORDER = 16
 # hermegauss's weight recurrence overflows around order 320 and returns
@@ -513,32 +513,26 @@ def expected_conditional_tau(
         return 0.0
     S = dist.support
     blocks = sorted({b for mono, _ in expansion.terms for b in mono})
-    bindex = {b: i for i, b in enumerate(blocks)}
-    # (blocks, A) raw block products; raw @ w are the uncentered moments
-    raw = np.ones((len(blocks), dist.atom_count))
-    for bi, b in enumerate(blocks):
-        for i in b:
-            raw[bi] *= S[:, i - 1]
+    if not centered:
+        # (blocks, A) raw block products; raw @ w are the uncentered moments
+        raw = np.ones((len(blocks), dist.atom_count))
+        for bi, b in enumerate(blocks):
+            for i in b:
+                raw[bi] *= S[:, i - 1]
 
     def form(w):
         if centered:
             mu = S.T @ w  # (n, P) posterior means
-            moments = np.empty((len(blocks), w.shape[1]))
-            for bi, b in enumerate(blocks):
+            moments = {}
+            for b in blocks:
                 prod = np.ones_like(w)
                 for i in b:
                     prod *= S[:, i - 1][:, None] - mu[i - 1]
                 prod *= w
-                moments[bi] = prod.sum(axis=0)
+                moments[b] = prod.sum(axis=0)
         else:
-            moments = raw @ w
-        values = np.zeros(w.shape[1])
-        for mono, coeff in expansion.terms:
-            term = np.full(w.shape[1], float(coeff))
-            for b in mono:
-                term *= moments[bindex[b]]
-            values += term
-        return values
+            moments = dict(zip(blocks, raw @ w))
+        return expansion.evaluate(MomentOracle(moments.__getitem__))
 
     return _posterior_pass(dist.probs, *_grid_parts(dist, spec, _resolve_quad(quad)), form)
 

@@ -18,9 +18,7 @@ from .errors import DomainError, QuadratureUnderflowError, SizeLimitError, Valid
 from .forms import SlotBinding, tau_symbolic
 from .graphs import export_dot, partition_to_graph
 from .partitions import enumerate_diverse
-from .verify import SUITE_NAMES, DerivativeRequest, fd_mi_partial, partition_formula, run_suite
-
-SCHEMA_VERSION = 1
+from .verify import SCHEMA_VERSION, SUITE_NAMES, DerivativeRequest, fd_mi_partial, partition_formula, run_suite
 
 ERROR_CODES = {
     ValidationError: "validation",
@@ -246,10 +244,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValidationError, SizeLimitError, QuadratureUnderflowError) as exc:
+    except tuple(ERROR_CODES) as exc:
         return _emit_error(ERROR_CODES[type(exc)], str(exc))
-    except DomainError as exc:
-        return _emit_error("domain", str(exc))
     except OSError as exc:
         return _emit_error("io", str(exc))
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, SizeLimitError, ValidationError
-from .partitions import ENUMERATION_LIMIT, set_partitions
+from .partitions import ENUMERATION_LIMIT, canonical_blocks, set_partitions
 
 Block = tuple[int, ...]
 Monomial = tuple[Block, ...]
@@ -77,14 +77,6 @@ class SlotBinding:
             vs.extend([var] * int(count))
         return cls(tuple(vs))
 
-    @classmethod
-    def distinct(cls, n: int) -> "SlotBinding":
-        """One slot per variable: (1, 2, ..., n)."""
-        return cls(tuple(range(1, n + 1)))
-
-    def map_block(self, block: Iterable[int]) -> Block:
-        return tuple(sorted(self.variables[s - 1] for s in block))
-
 
 @dataclass(frozen=True)
 class MomentOracle:
@@ -119,13 +111,13 @@ def gaussian_moment_oracle() -> MomentOracle:
     return MomentOracle(fn, exact=True)
 
 
-def univariate_moment_oracle(moments: Sequence, exact: bool = True) -> MomentOracle:
+def univariate_moment_oracle(moments: Sequence) -> MomentOracle:
     """Single variable with raw moments m1, m2, ... (ids are ignored).
 
     All variable ids are treated as the same variable; a block of size k
-    returns moments[k-1].
+    returns moments[k-1] as a Fraction.
     """
-    ms = tuple(Fraction(m) for m in moments) if exact else tuple(float(m) for m in moments)
+    ms = tuple(Fraction(m) for m in moments)
 
     def fn(block: Block):
         k = len(block)
@@ -133,15 +125,14 @@ def univariate_moment_oracle(moments: Sequence, exact: bool = True) -> MomentOra
             raise DomainError(f"moment of order {k} requested but only {len(ms)} supplied")
         return ms[k - 1]
 
-    return MomentOracle(fn, exact=exact)
+    return MomentOracle(fn, exact=True)
 
 
-def atoms_moment_oracle(support: Sequence[Sequence], probs: Sequence, exact: bool = False) -> MomentOracle:
+def atoms_moment_oracle(support: Sequence[Sequence], probs: Sequence) -> MomentOracle:
     """Finitely supported joint law; block ids index coordinates (1-based).
 
-    With exact=True the support entries and probabilities should be ints
-    or Fractions and moments come back as Fractions.  Values are
-    memoized per block.
+    The support entries and probabilities should be ints or Fractions;
+    moments come back as Fractions.  Values are memoized per block.
     """
     atoms = [tuple(a) for a in support]
     ps = list(probs)
@@ -154,7 +145,7 @@ def atoms_moment_oracle(support: Sequence[Sequence], probs: Sequence, exact: boo
         if block not in memo:
             if block[-1] > dim:
                 raise DomainError(f"block id {block[-1]} exceeds the {dim} coordinates")
-            total = Fraction(0) if exact else 0.0
+            total = Fraction(0)
             for atom, p in zip(atoms, ps):
                 v = p
                 for i in block:
@@ -163,12 +154,7 @@ def atoms_moment_oracle(support: Sequence[Sequence], probs: Sequence, exact: boo
             memo[block] = total
         return memo[block]
 
-    return MomentOracle(fn, exact=exact)
-
-
-def _canonical_monomial(blocks: Iterable[Iterable[int]]) -> Monomial:
-    inner = (tuple(sorted(b)) for b in blocks)
-    return tuple(sorted(inner, key=lambda b: (-len(b), b)))
+    return MomentOracle(fn, exact=True)
 
 
 def _term_key(mono: Monomial):
@@ -199,29 +185,19 @@ class SymbolicExpansion:
     def __post_init__(self) -> None:
         acc: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms:
-            key = _canonical_monomial(mono)
+            key = canonical_blocks(mono)
             acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
         cleaned = tuple(
             (m, acc[m]) for m in sorted(acc, key=_term_key) if acc[m] != 0
         )
         object.__setattr__(self, "terms", cleaned)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def coefficient(self, blocks: Iterable[Iterable[int]]) -> Fraction:
-        """Coefficient of a monomial, 0 when absent."""
-        key = _canonical_monomial(blocks)
-        for mono, coeff in self.terms:
-            if mono == key:
-                return coeff
-        return Fraction(0)
-
     def evaluate(self, oracle: MomentOracle):
         """Sum of coefficient * product of block moments.
 
         Exact oracles keep Fractions end to end; otherwise coefficients
-        are converted to float once per term.
+        are converted to float once per term, and the moments may be
+        arrays (one value per quadrature point), summed elementwise.
         """
         total = Fraction(0) if oracle.exact else 0.0
         for mono, coeff in self.terms:
@@ -270,23 +246,6 @@ class SymbolicExpansion:
                 for mono, coeff in self.terms
             ]
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SymbolicExpansion":
-        if not isinstance(data, dict) or "terms" not in data:
-            raise ValidationError("terms: missing")
-        built = []
-        for i, term in enumerate(data["terms"]):
-            if "blocks" not in term:
-                raise ValidationError(f"terms[{i}].blocks: missing")
-            if "coeff" not in term:
-                raise ValidationError(f"terms[{i}].coeff: missing")
-            try:
-                coeff = Fraction(term["coeff"])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValidationError(f"terms[{i}].coeff: {term['coeff']!r} is not a fraction") from exc
-            built.append((tuple(tuple(b) for b in term["blocks"]), coeff))
-        return cls(tuple(built))
 
 
 # A unit of the programme's state is one raw block value with its
@@ -414,12 +373,12 @@ def kappa_symbolic(n: int) -> SymbolicExpansion:
         raise DomainError(f"n={n!r}: expected a positive integer")
     if n > CUMULANT_LIMIT:
         raise SizeLimitError(f"n={n}: set-partition enumeration capped at {CUMULANT_LIMIT}")
-    acc: dict[Monomial, Fraction] = {}
-    for part in set_partitions(list(range(1, n + 1))):
-        coeff = Fraction((-1) ** (len(part) - 1) * math.factorial(len(part) - 1))
-        mono = _canonical_monomial(part)
-        acc[mono] = acc.get(mono, Fraction(0)) + coeff
-    return SymbolicExpansion(tuple(acc.items()))
+    return SymbolicExpansion(
+        tuple(
+            (part, (-1) ** (len(part) - 1) * math.factorial(len(part) - 1))
+            for part in set_partitions(list(range(1, n + 1)))
+        )
+    )
 
 
 def kappa_eval(n: int, oracle: MomentOracle):

@@ -27,8 +27,9 @@ BRUTE_FORCE_LIMIT = 5
 Block = tuple[int, ...]
 
 
-def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[Block, ...]:
-    inner = (tuple(sorted(int(x) for x in b)) for b in blocks)
+def canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[Block, ...]:
+    """Blocks sorted internally, then by size descending and lexicographically."""
+    inner = (tuple(sorted(b)) for b in blocks)
     return tuple(sorted(inner, key=lambda b: (-len(b), b)))
 
 
@@ -45,7 +46,7 @@ class Partition:
 
     def __post_init__(self) -> None:
         try:
-            blocks = _canonical_blocks(self.blocks)
+            blocks = canonical_blocks(tuple(int(x) for x in b) for b in self.blocks)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"blocks: not a list of integer blocks ({exc})") from exc
         object.__setattr__(self, "blocks", blocks)
@@ -92,15 +93,6 @@ class Partition:
     def to_dict(self) -> dict:
         return {"blocks": [list(b) for b in self.blocks], "s": self.s}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Partition":
-        if not isinstance(data, dict) or "blocks" not in data:
-            raise ValidationError("blocks: missing")
-        part = cls(tuple(tuple(b) for b in data["blocks"]))
-        if "s" in data and data["s"] != part.s:
-            raise ValidationError(f"s: declared {data['s']} but the partition has s={part.s}")
-        return part
-
     def __str__(self) -> str:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
@@ -131,7 +123,7 @@ def enumerate_diverse(n: int, min_block_size: int = 1) -> list[Partition]:
     def extend(blocks: tuple[Block, ...], i: int) -> None:
         if i > n:
             if all(len(b) >= min_block_size for b in blocks):
-                results.add(_canonical_blocks(blocks))
+                results.add(canonical_blocks(blocks))
             return
         counts: dict[Block, int] = {}
         for b in blocks:
@@ -199,6 +191,6 @@ def brute_force_diverse(n: int) -> list[Partition]:
         blocks = [tuple(sorted(p // 2 + 1 for p in b)) for b in part]
         if any(len(set(b)) != len(b) for b in blocks):
             continue
-        seen.add(_canonical_blocks(blocks))
+        seen.add(canonical_blocks(blocks))
     ordered = sorted(seen, key=lambda p: (len(p), p))
     return [Partition(p) for p in ordered]

@@ -25,7 +25,7 @@ from mideriv.channel import (
     _posterior_pass,
 )
 from mideriv.errors import DomainError, QuadratureUnderflowError, SizeLimitError, ValidationError
-from mideriv.forms import SlotBinding
+from mideriv.forms import SlotBinding, atoms_moment_oracle, tau_eval
 
 TWO_POINT = DiscreteJoint([[1.0], [-1.0]], [0.5, 0.5])
 PAIR = DiscreteJoint(
@@ -280,6 +280,25 @@ def test_conditional_tau_matches_direct_second_moment_form():
             m2 = 1.0 - mu * mu
             total += px * w * (-0.5) * m2 * m2
     assert abs(value - total) < 1e-12
+
+
+def test_conditional_tau_at_zero_snr_is_the_exact_prior_form():
+    # at snr 0 the posterior is the prior, so the grid evaluation must
+    # match the exact rational form on the (centred) prior moments
+    rng = random.Random(43)
+    quad = gauss_hermite(16)
+    bindings = [(1, 1), (1, 2), (1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 2)]
+    for _ in range(20):
+        atoms, probs = closedform.random_rational_joint(rng, 2)
+        mean = [sum(p * a[i] for a, p in zip(atoms, probs)) for i in range(2)]
+        centred = [tuple(a[i] - mean[i] for i in range(2)) for a in atoms]
+        dist = DiscreteJoint([[float(x) for x in a] for a in atoms], [float(p) for p in probs])
+        for variables in bindings:
+            binding = SlotBinding(variables)
+            for centered, support, mbs in ((True, centred, 2), (False, atoms, 1)):
+                ref = float(tau_eval(binding, atoms_moment_oracle(support, probs), mbs))
+                value = expected_conditional_tau(dist, ChannelSpec((0.0, 0.0)), binding, centered, quad)
+                assert abs(value - ref) <= 1e-10 * max(1.0, abs(ref)), (variables, centered)
 
 
 def test_conditional_tau_centered_vs_uncentered():

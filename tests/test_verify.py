@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -112,6 +113,15 @@ def test_quadratic_suite_passes_exactly():
     report = verify_multiquadratic(seed=0, trials=25)
     assert report.passed
     assert [c.gap for c in report.cases] == [0.0, 0.0, 0.0, 0.0]
+    assert [c.tol for c in report.cases] == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_quadratic_rows_need_exact_equality(monkeypatch):
+    monkeypatch.setattr(verify, "_quadratic_defect", lambda atoms, probs: Fraction(1, 10**12))
+    report = verify_multiquadratic(seed=0, trials=5)
+    rows = [report.cases[0], report.cases[3]]
+    assert [c.verdict for c in rows] == ["fail", "fail"]
+    assert [c.gap for c in rows] == [1e-12, 1e-12]
 
 
 def test_snr_combining_suite_passes():
@@ -129,10 +139,25 @@ def test_gaussian_chain_suite_exact():
     assert all(c.tol == 0.0 for c in report.cases)
 
 
+def test_gaussian_chain_admits_order_seven():
+    report = verify_gaussian_chain(max_order=7)
+    assert report.passed
+    assert len(report.cases) == 7
+    assert report.cases[-1].fd == 360.0
+
+
 def test_cumulant_suite_exact():
     report = verify_cumulant_routes(seed=0, trials=20)
     assert report.passed
     assert all(c.gap == 0.0 for c in report.cases)
+
+
+def test_cumulant_rows_report_the_largest_difference(monkeypatch):
+    recursion = verify.kappa_recursion_oracle
+    monkeypatch.setattr(verify, "kappa_recursion_oracle", lambda *a, **k: recursion(*a, **k) + Fraction(1, 4))
+    report = verify_cumulant_routes(seed=0, trials=5)
+    assert [c.verdict for c in report.cases[:2]] == ["fail", "fail"]
+    assert [c.gap for c in report.cases[:2]] == [0.25, 0.25]
 
 
 def test_report_json_shape_and_determinism():
