@@ -22,7 +22,6 @@ from .channel import (
     ChannelSpec,
     DiscreteJoint,
     QuadratureRule,
-    combine_channels,
     expected_conditional_tau,
     gauss_hermite,
     mmse,
@@ -66,7 +65,6 @@ __all__ = [
     "ChannelSpec",
     "DiscreteJoint",
     "QuadratureRule",
-    "combine_channels",
     "expected_conditional_tau",
     "gauss_hermite",
     "mmse",

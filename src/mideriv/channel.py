@@ -1,22 +1,21 @@
 """Discrete-input parallel Gaussian channels evaluated by quadrature.
 
 Channel i carries Y_i = sqrt(l_i) X_i + Z_i with independent standard
-Gaussian noise Z_i and signal-to-noise ratio l_i >= 0.  All output
-integrals are taken against the standard Gaussian base measure, under
-which the log likelihood of input atom x at output y is
+Gaussian noise Z_i and signal-to-noise ratio l_i >= 0.  Information is
+measured in nats.  With signals v_b = sqrt(l) * x_b, the output of the
+mixture component of atom a is y = v_a + z, and there the posterior
+weight of atom b is proportional to
 
-    sum_i sqrt(l_i) y_i x_i - l_i x_i**2 / 2
+    p_b * exp(-|v_a - v_b|**2 / 2 + (v_b - v_a) . z)
 
-up to an x-free term that cancels from every posterior and every
-likelihood ratio.  Information is measured in nats.
-
-With v_b = sqrt(l) * x_b, the output enters the posterior only through
-the projections (v_b - v_0) . z, so the integral runs on a tensor
-Gauss-Hermite grid over an orthonormal basis of span{v_b - v_0}: r axes,
-r = rank <= min(n, atoms - 1), whatever the channel count.  A full-rank
-span keeps the n coordinate axes; otherwise the axes are the principal
-axes of the atoms turned onto the grid diagonals.  A duplicated signal
-(r = 1) is one channel at the summed snr.
+so the posterior reads the signals only through their differences.  The
+output enters only through the projections (v_b - v_a) . z, so every
+integral against the standard Gaussian z runs on a tensor Gauss-Hermite
+grid over an orthonormal basis of span{v_b - v_0}: r axes, r = rank <=
+min(n, atoms - 1), whatever the channel count.  A full-rank span keeps
+the n coordinate axes; otherwise the axes are the principal axes of the
+atoms turned onto the grid diagonals.  A duplicated signal (r = 1) is
+one channel at the summed snr.
 
 Every value is one posterior pass, _posterior_pass: per mixture
 component it builds the (A, P) logits of every atom at every grid
@@ -365,21 +364,20 @@ def _difference_basis(v: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
-    """Arguments of _posterior_pass on the projected grid: logp, M, G, c, W.
+    """Arguments of _posterior_pass on the projected grid: logp, D, G, W.
 
-    Every logit is logp_b + M[a, b] + v_b . z - c_b; splitting z = U t +
-    z_perp over the grid axes U of the difference span, the z_perp part
-    adds v_0 . z_perp to every logit and cancels, so G = (v @ U) @ T.T on
-    the tensor grid T with one axis per column of U.  More than
-    MAX_GRID_ATOM_POINTS atoms times grid points raise SizeLimitError
-    before any grid is built.
+    With v = sqrt(l) * x, D[a, b] = |v_a - v_b|**2 / 2 and (v_b - v_a) . z
+    are all the component of atom a needs; splitting z = U t + z_perp over
+    the grid axes U of the difference span, z_perp drops out of every
+    difference, so G = (v @ U) @ T.T on the tensor grid T with one axis
+    per column of U.  More than MAX_GRID_ATOM_POINTS atoms times grid
+    points raise SizeLimitError before any grid is built.
     """
-    lam = np.array(spec.snr)
-    S = dist.support
-    M = S @ (lam * S).T
-    v = S * np.sqrt(lam)
-    c = 0.5 * (lam * S**2).sum(axis=1)
-    logp = np.log(dist.probs)
+    v = dist.support * np.sqrt(spec.snr)
+    # D reaches +inf only for atoms more than about 1e154 apart, and +inf
+    # is then the exact limit: such atoms have posterior weight 0
+    with np.errstate(over="ignore"):
+        D = 0.5 * ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
     U = _difference_basis(v, dist.probs)
     axes = U.shape[1]
     size = dist.atom_count * quad.order**axes
@@ -389,39 +387,40 @@ def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
             f"{size} atom-points: the limit is {MAX_GRID_ATOM_POINTS}"
         )
     T, W = quad.tensor(axes)
-    return logp, M, (v @ U) @ T.T, c, W
+    return np.log(dist.probs), D, (v @ U) @ T.T, W
 
 
-def _posterior_pass(probs, logp, M, G, c, W, values=None) -> float:
+def _posterior_pass(probs, logp, D, G, W, values=None) -> float:
     """Mixture average over the grid of one (P,) array per component.
 
     Layout, for A atoms on a P-point grid: probs and logp (A,) are the
-    atom masses and their logs, M (A, A) the cross terms
-    sum_i l_i x_ai x_bi, G (A, P) the atom-grid terms v_b . z, c (A,)
-    the half self-energies and W (P,) the product weights, so that
-    logp[b] + M[a, b] + G[b, g] - c[b] is the log posterior weight of
-    atom b at grid point g of the mixture component a, up to
-    normalisation.  The logits are max-subtracted before exp, so every
-    column sums to at least 1.
+    atom masses and their logs, D (A, A) the half squared distances
+    |v_a - v_b|**2 / 2 between signals, G (A, P) the atom-grid terms
+    v_b . z and W (P,) the product weights.  At grid point g of the
+    mixture component a, where y = v_a + z, atom b has the log posterior
+    weight logp[b] - D[a, b] + (G[b, g] - G[a, g]), up to normalisation:
+    only differences of signals enter, so no term grows like |v|**2.
+    G[b] - G[a] is formed before logp and D are added, so a large signal
+    does not round away the log masses.  The logits are max-subtracted
+    before exp, so every column sums to at least 1.
 
     With values None the array is the log-likelihood ratio
-    log p(y|x_a) - log p(y) = M[a, a] + G[a] - c[a] - log sum_b
-    exp(logit_b); otherwise it is values(w) for the (A, P) normalised
-    posterior weights w.  Components are accumulated in atom order, so
-    results are bit-stable run to run.
+    log p(y|x_a) - log p(y) = -log sum_b exp(logit_b); otherwise it is
+    values(w) for the (A, P) normalised posterior weights w.  Components
+    are accumulated in atom order, so results are bit-stable run to run.
 
     Raises QuadratureUnderflowError when the average is not finite.
     """
     total = 0.0
     for a in range(probs.shape[0]):
-        e = (logp + M[a])[:, None] + G
-        e -= c[:, None]
+        e = G - G[a]
+        e += (logp - D[a])[:, None]
         mx = e.max(axis=0)
         e -= mx
         np.exp(e, out=e)
         s = e.sum(axis=0)
         if values is None:
-            term = (M[a, a] + G[a] - c[a]) - (mx + np.log(s))
+            term = -(mx + np.log(s))
         else:
             e /= s
             term = values(e)
@@ -444,8 +443,8 @@ def mutual_information(
     the projected grid plus shift integrates it.  Likelihoods stay in log
     space through a max-subtracted log-sum-exp.
 
-    Raises QuadratureUnderflowError when the average is not finite (an
-    input so large that its energy overflows), and SizeLimitError when
+    Raises QuadratureUnderflowError when the average is not finite (a
+    signal sqrt(l) x that overflows float64), and SizeLimitError when
     the support differences span more than MAX_TENSOR_DIM dimensions or
     the grid exceeds MAX_GRID_ATOM_POINTS.
     """
@@ -463,7 +462,8 @@ def mmse(
 
     Lies in [0, Var(X_i)]; at zero snr the best estimate is the prior
     mean and the value is the prior variance.  A non-finite average
-    raises QuadratureUnderflowError, as in mutual_information.
+    raises QuadratureUnderflowError, as in mutual_information; here that
+    also happens when x_i**2 overflows float64.
     """
     _check_dims(dist, spec)
     if not 1 <= channel <= dist.n:
@@ -509,8 +509,6 @@ def expected_conditional_tau(
             f"binding uses variable {max(binding.variables)} but the distribution has {dist.n} coordinates"
         )
     expansion = tau_symbolic(binding, 2 if centered else 1)
-    if not expansion.terms:
-        return 0.0
     S = dist.support
     blocks = sorted({b for mono, _ in expansion.terms for b in mono})
     if not centered:
@@ -536,52 +534,3 @@ def expected_conditional_tau(
 
     return _posterior_pass(dist.probs, *_grid_parts(dist, spec, _resolve_quad(quad)), form)
 
-
-def combine_channels(
-    dist: DiscreteJoint, spec: ChannelSpec, groups: list[list[int]] | None = None
-) -> tuple[DiscreteJoint, ChannelSpec]:
-    """Merge coordinates declared to carry the same signal; sum their snrs.
-
-    groups lists 1-based coordinate ids; ids absent from every group stay
-    as singleton channels.  Coordinates inside one group must have
-    identical support columns (this is what "same signal" means), else a
-    DomainError.  Passing no groups returns an equivalent single-channel
-    grouping of nothing, i.e. the identity.
-
-    The reduced problem carries the same mutual information: the output
-    family only enters through the sufficient statistic
-    sum_i sqrt(l_i) Y_i per group, a single Gaussian channel at the
-    summed snr.
-    """
-    _check_dims(dist, spec)
-    if groups is None:
-        groups = []
-    seen: set[int] = set()
-    norm_groups: list[list[int]] = []
-    for gi, group in enumerate(groups):
-        ids = [int(i) for i in group]
-        if not ids:
-            raise ValidationError(f"groups[{gi}]: empty group")
-        for i in ids:
-            if not 1 <= i <= dist.n:
-                raise ValidationError(f"groups[{gi}]: coordinate {i} leaves 1..{dist.n}")
-            if i in seen:
-                raise ValidationError(f"groups[{gi}]: coordinate {i} appears twice")
-            seen.add(i)
-        norm_groups.append(sorted(ids))
-    for i in range(1, dist.n + 1):
-        if i not in seen:
-            norm_groups.append([i])
-    norm_groups.sort(key=lambda g: g[0])
-    for group in norm_groups:
-        first = dist.support[:, group[0] - 1]
-        for i in group[1:]:
-            if not np.array_equal(first, dist.support[:, i - 1]):
-                raise DomainError(
-                    f"coordinates {group} declared duplicate but columns "
-                    f"{group[0]} and {i} differ in the support"
-                )
-    cols = [g[0] - 1 for g in norm_groups]
-    new_support = dist.support[:, cols]
-    new_snr = tuple(sum(spec.snr[i - 1] for i in g) for g in norm_groups)
-    return DiscreteJoint(new_support, dist.probs), ChannelSpec(new_snr)

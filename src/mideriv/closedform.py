@@ -89,22 +89,17 @@ def half_log_derivative(k: int, at: Fraction = Fraction(0)) -> Fraction:
 
 
 def random_rational_joint(
-    rng: random.Random,
-    dim: int,
-    max_atoms: int = 5,
-    atom_count: int | None = None,
-    values: range = range(-2, 3),
+    rng: random.Random, dim: int, atom_count: int | None = None
 ) -> tuple[list[tuple[int, ...]], list[Fraction]]:
     """Seeded joint law with small-integer support and rational masses.
 
-    Atoms are distinct points of values**dim (2..max_atoms of them,
-    or exactly atom_count); masses are positive rationals whose common
-    denominator is at most 12 * max_atoms <= 64 for the defaults.
-    Deterministic for a given rng state.
+    Atoms are distinct points of {-2, ..., 2}**dim (2..5 of them, or
+    exactly atom_count); masses are positive rationals whose common
+    denominator is at most 60.  Deterministic for a given rng state.
     """
     if atom_count is None:
-        atom_count = rng.randint(2, max_atoms)
-    universe = sorted(itertools.product(values, repeat=dim))
+        atom_count = rng.randint(2, 5)
+    universe = sorted(itertools.product(range(-2, 3), repeat=dim))
     atoms = rng.sample(universe, atom_count)
     weights = [rng.randint(1, 12) for _ in atoms]
     denom = sum(weights)

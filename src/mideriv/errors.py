@@ -17,4 +17,9 @@ class ValidationError(ValueError):
 
 
 class QuadratureUnderflowError(ArithmeticError):
-    """A posterior average over the quadrature grid is not finite."""
+    """A posterior average over the quadrature grid is not finite.
+
+    The pass reads signals only through their differences, so this
+    means a signal sqrt(snr) * x, or a power of a coordinate that a
+    posterior moment needs, overflows float64.
+    """

@@ -207,11 +207,11 @@ class SymbolicExpansion:
             total = total + v
         return total
 
-    def pretty(self, symbol: str = "M") -> str:
+    def pretty(self) -> str:
         """Readable form, e.g. ``M2^3 - 1/2*M3^2``.
 
         When every block repeats a single common variable, a block of
-        size k prints as ``<symbol>k`` (a conditional-moment shorthand);
+        size k prints as ``Mk`` (a conditional-moment shorthand);
         otherwise blocks print as E[...] products.
         """
         if not self.terms:
@@ -225,7 +225,7 @@ class SymbolicExpansion:
             factors = []
             for block, grp in itertools.groupby(mono):
                 e = len(list(grp))
-                base = f"{symbol}{len(block)}" if single else _block_str(block)
+                base = f"M{len(block)}" if single else _block_str(block)
                 factors.append(base + (f"^{e}" if e > 1 else ""))
             mag = abs(coeff)
             body = "*".join(factors)

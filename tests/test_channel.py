@@ -16,7 +16,6 @@ from mideriv.channel import (
     MIN_QUAD_ORDER,
     ChannelSpec,
     DiscreteJoint,
-    combine_channels,
     expected_conditional_tau,
     gauss_hermite,
     mmse,
@@ -212,20 +211,29 @@ def test_far_apart_atoms_keep_mi_at_entropy():
     far = DiscreteJoint([[40.0, 0.0], [0.0, 40.0], [-40.0, -40.0]], [1 / 3, 1 / 3, 1 / 3])
     spec = ChannelSpec((1.0, 1.0))
     for order in (64, 128, MAX_QUAD_ORDER):
-        assert abs(mutual_information(far, spec, gauss_hermite(order)) - math.log(3)) < 1e-12
+        assert abs(mutual_information(far, spec, gauss_hermite(order)) - math.log(3)) < 1e-15
     assert 0.0 <= mmse(far, spec, 1, gauss_hermite(MAX_QUAD_ORDER)) < 1e-150
+    # only differences of signals enter the pass: signals of 1e10, whose
+    # energy 1e20 would round away the log masses, and atoms 2e200 apart,
+    # whose half squared distance is +inf (the exact limit), give log 2
+    # without a floating-point warning
+    for support, lam in ((1e160, 1e-300), (1e200, 1.0)):
+        dist = DiscreteJoint([[support], [-support]], [0.5, 0.5])
+        assert abs(mutual_information(dist, ChannelSpec((lam,))) - math.log(2)) < 1e-15
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_average_raises_underflow():
-    # l x**2 overflows float64, so every logit is nan
     huge = DiscreteJoint([[1e200], [-1e200]], [0.5, 0.5])
-    spec = ChannelSpec((1.0,))
+    assert abs(mutual_information(huge, ChannelSpec((1.0,))) - math.log(2)) < 1e-15
+    # at snr 1e300 the signal sqrt(l) x overflows float64; at snr 1 mmse
+    # still squares x, and x**2 overflows
+    overflowing = ChannelSpec((1e300,))
     for call in (
-        lambda: mutual_information(huge, spec),
-        lambda: mmse(huge, spec),
-        lambda: expected_conditional_tau(huge, spec, SlotBinding((1, 1))),
+        lambda: mutual_information(huge, overflowing),
+        lambda: mmse(huge, ChannelSpec((1.0,))),
+        lambda: expected_conditional_tau(huge, overflowing, SlotBinding((1, 1))),
     ):
         with pytest.raises(QuadratureUnderflowError, match="overflows float64"):
             call()
@@ -308,30 +316,6 @@ def test_conditional_tau_centered_vs_uncentered():
     a = expected_conditional_tau(PAIR, spec, binding, centered=True, quad=quad)
     b = expected_conditional_tau(PAIR, spec, binding, centered=False, quad=quad)
     assert abs(a - b) < 1e-11
-
-
-def test_combine_channels_sums_snr_for_duplicated_signal():
-    dup = DiscreteJoint([[1.0, 1.0], [-1.0, -1.0]], [0.5, 0.5])
-    dist, spec = combine_channels(dup, ChannelSpec((0.3, 0.7)), groups=[[1, 2]])
-    assert spec.snr == (1.0,)
-    assert dist.n == 1
-    quad = gauss_hermite(64)
-    direct = mutual_information(dup, ChannelSpec((0.3, 0.7)), quad)
-    reduced = mutual_information(dist, spec, quad)
-    assert abs(direct - reduced) < 1e-10
-
-
-def test_combine_channels_identity_and_validation():
-    dist, spec = combine_channels(PAIR, ChannelSpec((0.5, 0.9)))
-    assert dist.to_dict() == PAIR.to_dict()
-    assert spec.snr == (0.5, 0.9)
-    with pytest.raises(DomainError):
-        # declared duplicates carry different support columns
-        combine_channels(PAIR, ChannelSpec((0.5, 0.9)), groups=[[1, 2]])
-    with pytest.raises(ValidationError):
-        combine_channels(PAIR, ChannelSpec((0.5, 0.9)), groups=[[1, 3]])
-    with pytest.raises(ValidationError):
-        combine_channels(PAIR, ChannelSpec((0.5, 0.9)), groups=[[1], [1, 2]])
 
 
 def test_random_joints_have_exact_unit_mass():

@@ -169,7 +169,12 @@ def test_mi_matches_closed_form(capsys, dist_file):
 def test_mi_non_finite_value_is_an_underflow_error(capsys, tmp_path):
     path = tmp_path / "huge.json"
     path.write_text('{"n": 1, "support": [[1e200], [-1e200]], "probs": [0.5, 0.5]}\n', encoding="utf-8")
-    code, out, err = run(capsys, "mi", "--dist", str(path), "--snr", "1")
+    # atoms 2e200 apart are a well-posed law: mi is log 2
+    code, out, _ = run(capsys, "mi", "--dist", str(path), "--snr", "1", "--format", "json")
+    assert code == 0
+    assert abs(json.loads(out)["value"] - math.log(2)) < 1e-15
+    # at snr 1e300 the signal sqrt(snr) * x itself overflows float64
+    code, out, err = run(capsys, "mi", "--dist", str(path), "--snr", "1e300")
     assert code == 2
     assert out == ""
     assert err.startswith("mideriv: error[underflow]:")
@@ -224,7 +229,7 @@ def test_verify_lemma2_suite_passes(capsys):
     code, out, err = run(capsys, "verify", "--suite", "lemma2")
     assert code == 0
     assert json.loads(out)["passed"] is True
-    assert "4/4 cases passed" in err
+    assert "3/3 cases passed" in err
 
 
 def test_verify_csv_format(capsys):

@@ -24,8 +24,8 @@ from mideriv.channel import (
 from mideriv.errors import QuadratureUnderflowError
 
 
-def _mi_reference(probs, logp, M, G, c, W):
-    probs, logp, M, G, c, W = (np.asarray(x).tolist() for x in (probs, logp, M, G, c, W))
+def _mi_reference(probs, logp, D, G, W):
+    probs, logp, D, G, W = (np.asarray(x).tolist() for x in (probs, logp, D, G, W))
     A = len(probs)
     total = 0.0
     for a in range(A):
@@ -33,26 +33,25 @@ def _mi_reference(probs, logp, M, G, c, W):
         for g in range(len(W)):
             mx = -math.inf
             for b in range(A):
-                t = logp[b] + M[a][b] + G[b][g] - c[b]
+                t = logp[b] - D[a][b] + (G[b][g] - G[a][g])
                 if t > mx:
                     mx = t
             s = 0.0
             for b in range(A):
-                s += math.exp(logp[b] + M[a][b] + G[b][g] - c[b] - mx)
-            lse = mx + math.log(s)
-            acc += W[g] * ((M[a][a] + G[a][g] - c[a]) - lse)
+                s += math.exp(logp[b] - D[a][b] + (G[b][g] - G[a][g]) - mx)
+            acc += W[g] * -(mx + math.log(s))
         total += probs[a] * acc
     return total
 
 
-def _weights_reference(logp, Mrow, G, c):
-    logp, Mrow, G, c = (np.asarray(x).tolist() for x in (logp, Mrow, G, c))
+def _weights_reference(logp, Drow, G, a):
+    logp, Drow, G = (np.asarray(x).tolist() for x in (logp, Drow, G))
     A, P = len(logp), len(G[0])
     w = [[0.0] * P for _ in range(A)]
     for g in range(P):
         mx = -math.inf
         for b in range(A):
-            t = logp[b] + Mrow[b] + G[b][g] - c[b]
+            t = logp[b] - Drow[b] + (G[b][g] - G[a][g])
             w[b][g] = t
             if t > mx:
                 mx = t
@@ -72,13 +71,12 @@ def _pass_args(seed, n, atoms, order):
     probs = rng.dirichlet(np.ones(atoms))
     lam = rng.uniform(0.1, 2.0, size=n)
     Z, W = gauss_hermite(order).tensor(n)
-    M = np.array([[sum(lam[i] * S[a, i] * S[b, i] for i in range(n)) for b in range(atoms)] for a in range(atoms)])
+    D = np.array([[0.5 * sum(lam[i] * (S[a, i] - S[b, i]) ** 2 for i in range(n)) for b in range(atoms)] for a in range(atoms)])
     G = np.array([[Z[g] @ (np.sqrt(lam) * S[b]) for g in range(len(W))] for b in range(atoms)])
-    c = np.array([0.5 * sum(lam[i] * S[b, i] ** 2 for i in range(n)) for b in range(atoms)])
-    return probs, np.log(probs), M, G, c, W
+    return probs, np.log(probs), D, G, W
 
 
-def _pass_weights(probs, logp, M, G, c, W):
+def _pass_weights(probs, logp, D, G, W):
     """The normalised (A, P) weights the pass hands out, per component."""
     seen = []
 
@@ -86,7 +84,7 @@ def _pass_weights(probs, logp, M, G, c, W):
         seen.append(w.copy())
         return np.zeros(w.shape[1])
 
-    assert _posterior_pass(probs, logp, M, G, c, W, keep) == 0.0
+    assert _posterior_pass(probs, logp, D, G, W, keep) == 0.0
     return seen
 
 
@@ -96,25 +94,27 @@ CASES = [(1, 1, 16), (1, 6, 20), (2, 2, 19), (2, 5, 16), (3, 3, 16), (3, 6, 17)]
 @pytest.mark.parametrize("n,atoms,order", CASES)
 def test_kernels_match_loop_reference(n, atoms, order):
     args = _pass_args(100 * n + atoms, n, atoms, order)
-    _, logp, M, G, c, W = args
+    _, logp, D, G, W = args
     assert abs(_posterior_pass(*args) - _mi_reference(*args)) < 1e-13
     weights = _pass_weights(*args)
     assert len(weights) == atoms
     for a, w in enumerate(weights):
         assert w.shape == (atoms, len(W))
-        assert np.abs(w - _weights_reference(logp, M[a], G, c)).max() < 1e-13
+        assert np.abs(w - _weights_reference(logp, D[a], G, a)).max() < 1e-13
 
 
 def test_pass_raises_only_on_non_finite_average():
-    # logits 1000 below the rest at one grid point leave every weight
-    # there finite after max subtraction: no raise, same value as the loop
-    probs, logp, M, G, c, W = _pass_args(5, 1, 2, 16)
+    # one atom 1000 below the other at one grid point: its weight there
+    # underflows to 0, but max subtraction keeps every column sum at least
+    # 1, so no raise and the same value as the loop (a shift of every atom
+    # would cancel from the differences)
+    probs, logp, D, G, W = _pass_args(5, 1, 2, 16)
     G = G.copy()
-    G[:, 3] -= 1000.0
-    args = (probs, logp, M, G, c, W)
+    G[0, 3] -= 1000.0
+    args = (probs, logp, D, G, W)
     assert abs(_posterior_pass(*args) - _mi_reference(*args)) < 1e-13
     for a, w in enumerate(_pass_weights(*args)):
-        assert np.abs(w - _weights_reference(logp, M[a], G, c)).max() < 1e-13
+        assert np.abs(w - _weights_reference(logp, D[a], G, a)).max() < 1e-13
     G[0, 3] = math.inf
     with pytest.warns(RuntimeWarning, match="invalid value"):
         with pytest.raises(QuadratureUnderflowError):

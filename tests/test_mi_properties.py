@@ -1,15 +1,27 @@
 """Property tests of mutual information on small laws.
 
 Laws have up to 2 channels and up to 4 atoms on the half-integer
-coordinates of [-1, 1], with snr in [0.05, 1.5], on the order-64 rule.
-Each property states its allowance next to the check.
+coordinates of [-1, 1], with snr in [0.05, 1.5], on the order-64 rule;
+the duplicated-signal laws have 2 to 6 atoms on those of [-2, 2], fed to
+2 or 3 channels at snr in [0.05, 1] each.  Each property states its
+allowance next to the check.
 """
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mideriv.channel import ChannelSpec, DiscreteJoint, gauss_hermite, mmse, mutual_information
+import numpy as np
+
+from mideriv.channel import (
+    ChannelSpec,
+    DiscreteJoint,
+    gauss_hermite,
+    mmse,
+    mutual_information,
+    _grid_parts,
+    _posterior_pass,
+)
 
 QUAD = gauss_hermite(64)
 # float64 roundoff of an mi value of order 1 summed over a few thousand
@@ -22,6 +34,10 @@ STEP = 1e-4
 # order 300), which dominates the difference between the two sides; the
 # truncation error and the roundoff / STEP (about 1e-12) add far less
 FD_ALLOWANCE = 1e-7
+# a duplicated signal and its one-channel law differ only in the rounding
+# of the summed snr, the distances and the grid axis: 6.5e-15 relative at
+# worst over 400 seeded laws
+LEMMA2_RELATIVE = 1e-13
 
 
 @st.composite
@@ -69,3 +85,47 @@ def test_mi_snr_derivative_is_half_mmse(law):
         slope = (_mi(dist, up) - _mi(dist, down)) / (2 * STEP)
         half_mmse = mmse(dist, ChannelSpec(snr), channel=i + 1, quad=QUAD) / 2
         assert abs(slope - half_mmse) <= FD_ALLOWANCE
+
+
+@st.composite
+def duplicated_laws(draw):
+    """A 1-D law fed to 2-3 channels at a random snr split."""
+    coord = st.integers(-4, 4).map(lambda k: k / 2)
+    xs = draw(st.lists(coord, min_size=2, max_size=6, unique=True))
+    masses = draw(st.lists(st.integers(1, 9), min_size=len(xs), max_size=len(xs)))
+    parts = draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=3))
+    return xs, [m / sum(masses) for m in masses], parts
+
+
+@settings(max_examples=40, deadline=None)
+@given(duplicated_laws())
+def test_duplicated_signal_is_one_channel_at_summed_snr(law):
+    # Lemma 2: channels that carry one signal add their snrs
+    xs, probs, parts = law
+    dup = DiscreteJoint([[x] * len(parts) for x in xs], probs)
+    one = DiscreteJoint([[x] for x in xs], probs)
+    spec, summed = ChannelSpec(parts), ChannelSpec((sum(parts),))
+    for value, reference in (
+        (mutual_information(dup, spec, QUAD), mutual_information(one, summed, QUAD)),
+        (mmse(dup, spec, channel=1, quad=QUAD), mmse(one, summed, channel=1, quad=QUAD)),
+    ):
+        assert abs(value - reference) <= LEMMA2_RELATIVE * reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_laws(), st.integers(0, 3), st.integers(1, 9))
+def test_mi_ignores_an_atom_split_into_identical_rows(law, pick, share):
+    dist, snr = law
+    k = pick % dist.atom_count
+    p = dist.probs[k]
+    support = np.vstack([dist.support, dist.support[k]])
+    probs = np.append(dist.probs, p * (1 - share / 10))
+    probs[k] = p * share / 10
+    mi = _mi(dist, snr)
+    # DiscreteJoint merges the two rows back into one atom
+    assert abs(_mi(DiscreteJoint(support, probs), snr) - mi) <= ROUNDOFF
+    # the posterior pass, handed both rows, weighs them as one atom
+    logp, D, G, W = _grid_parts(dist, ChannelSpec(snr), QUAD)
+    rows = np.append(np.arange(dist.atom_count), k)
+    split = _posterior_pass(probs, np.log(probs), D[np.ix_(rows, rows)], G[rows], W)
+    assert abs(split - mi) <= ROUNDOFF

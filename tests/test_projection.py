@@ -29,13 +29,10 @@ from mideriv.forms import SlotBinding
 
 
 def _full_tensor(dist, spec, quad):
-    S = dist.support
-    lam = np.array(spec.snr)
-    M = S @ (lam * S).T
-    v = S * np.sqrt(lam)
-    c = 0.5 * (lam * S**2).sum(axis=1)
+    v = dist.support * np.sqrt(spec.snr)
+    D = 0.5 * ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
     Z, W = quad.tensor(dist.n)
-    return dist.probs, np.log(dist.probs), M, v @ Z.T, c, W
+    return dist.probs, np.log(dist.probs), D, v @ Z.T, W
 
 
 def oracle_mi(dist, spec, quad):

@@ -127,8 +127,8 @@ def test_quadratic_rows_need_exact_equality(monkeypatch):
 def test_snr_combining_suite_passes():
     report = verify_snr_combining()
     assert report.passed
-    assert len(report.cases) == 4
-    for case in report.cases[:3]:
+    assert len(report.cases) == 3
+    for case in report.cases:
         assert case.gap <= 1e-10
 
 
