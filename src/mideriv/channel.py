@@ -369,9 +369,11 @@ def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
     With v = sqrt(l) * x, D[a, b] = |v_a - v_b|**2 / 2 and (v_b - v_a) . z
     are all the component of atom a needs; splitting z = U t + z_perp over
     the grid axes U of the difference span, z_perp drops out of every
-    difference, so G = (v @ U) @ T.T on the tensor grid T with one axis
-    per column of U.  More than MAX_GRID_ATOM_POINTS atoms times grid
-    points raise SizeLimitError before any grid is built.
+    difference, so G = ((v - mean v) @ U) @ T.T on the tensor grid T with
+    one axis per column of U; the mean cancels in G[b] - G[a], and taking
+    it out keeps atoms far from 0 from rounding away their spread.  More
+    than MAX_GRID_ATOM_POINTS atoms times grid points raise SizeLimitError
+    before any grid is built.
     """
     v = dist.support * np.sqrt(spec.snr)
     # D reaches +inf only for atoms more than about 1e154 apart, and +inf
@@ -387,7 +389,7 @@ def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
             f"{size} atom-points: the limit is {MAX_GRID_ATOM_POINTS}"
         )
     T, W = quad.tensor(axes)
-    return np.log(dist.probs), D, (v @ U) @ T.T, W
+    return np.log(dist.probs), D, ((v - v.mean(axis=0)) @ U) @ T.T, W
 
 
 def _posterior_pass(probs, logp, D, G, W, values=None) -> float:
@@ -396,10 +398,11 @@ def _posterior_pass(probs, logp, D, G, W, values=None) -> float:
     Layout, for A atoms on a P-point grid: probs and logp (A,) are the
     atom masses and their logs, D (A, A) the half squared distances
     |v_a - v_b|**2 / 2 between signals, G (A, P) the atom-grid terms
-    v_b . z and W (P,) the product weights.  At grid point g of the
-    mixture component a, where y = v_a + z, atom b has the log posterior
-    weight logp[b] - D[a, b] + (G[b, g] - G[a, g]), up to normalisation:
-    only differences of signals enter, so no term grows like |v|**2.
+    v_b . z less any shift shared by all b, W (P,) the product weights.
+    At grid point g of component a, where y = v_a + z, atom b has the
+    log posterior weight logp[b] - D[a, b] + (G[b, g] - G[a, g]), up to
+    normalisation: only differences of signals enter, so no term grows
+    like |v|**2.
     G[b] - G[a] is formed before logp and D are added, so a large signal
     does not round away the log masses.  The logits are max-subtracted
     before exp, so every column sums to at least 1.

@@ -63,9 +63,10 @@ def _parse_multiplicities(text: str) -> tuple[int, ...]:
 
 
 def _load_dist(path: str) -> DiscreteJoint:
-    raw = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(raw)
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"dist file {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"dist file {path}: not valid JSON ({exc})") from None
     return DiscreteJoint.from_dict(payload)

@@ -6,6 +6,11 @@ base stencils are order-8 accurate per axis, and Richardson
 extrapolation across step halvings removes the leading error terms, so
 the error estimate (the magnitude of the last tableau correction) is
 usually conservative for analytic integrands.
+
+The step is worked out from the point, min(BASE_STEP, 0.9 * lowest
+active coordinate / widest stencil half-width).  The estimate covers
+truncation, not roundoff: order 4 of (1/2) log(1+x) at 0.05 is off by
+2.4e-6 with an estimate of 2.3e-9.
 """
 from __future__ import annotations
 
@@ -19,6 +24,9 @@ from .errors import DomainError
 # Per-axis truncation order of the base stencils; Richardson columns
 # then cancel h**8, h**10, ... terms (central stencils gain powers of 2).
 ACCURACY_ORDER = 8
+# Largest base step, and the number of step halvings in the tableau.
+BASE_STEP = 0.2
+RICHARDSON_LEVELS = 3
 
 
 def fornberg_weights(d: int, offsets: Sequence) -> list[Fraction]:
@@ -58,32 +66,30 @@ def fornberg_weights(d: int, offsets: Sequence) -> list[Fraction]:
     return [c[i][d] for i in range(n)]
 
 
+def stencil_halfwidth(d: int) -> int:
+    """How far (in steps) the order-d stencil reaches from its center."""
+    return (d + 1) // 2 + 3
+
+
 @lru_cache(maxsize=None)
 def central_stencil(d: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     """Symmetric stencil for the d-th derivative, truncation order >= 8.
 
-    Half-width m = (d+1)//2 + 3 gives 2m+1 points; parity makes central
-    stencils gain one extra order, so accuracy is 2m+1-d or better,
-    which is >= 8 for every d >= 1.
+    Half-width m = stencil_halfwidth(d) gives 2m+1 points; parity makes
+    central stencils gain one extra order, so accuracy is 2m+1-d or
+    better, which is >= 8 for every d >= 1.
     """
     if d < 1:
         raise DomainError(f"d={d}: derivative order must be >= 1")
-    m = (d + 1) // 2 + 3
+    m = stencil_halfwidth(d)
     offsets = tuple(range(-m, m + 1))
     return offsets, tuple(fornberg_weights(d, offsets))
-
-
-def stencil_halfwidth(d: int) -> int:
-    """How far (in steps) the order-d stencil reaches from its center."""
-    return (d + 1) // 2 + 3
 
 
 def fd_partial(
     f: Callable[[tuple[float, ...]], float],
     orders: Sequence[int],
     point: Sequence[float],
-    step: float = 0.2,
-    richardson_levels: int = 3,
 ) -> tuple[float, float]:
     """Mixed partial derivative of f by tensored central differences.
 
@@ -92,17 +98,19 @@ def fd_partial(
     f : callable taking a tuple of floats.
     orders : per-axis derivative orders; zeros skip the axis.
     point : evaluation point, same length as orders.
-    step : base step; levels halve it (step, step/2, ..., so all samples
-        lie within halfwidth*step of the point on each active axis).
-    richardson_levels : number of step values entering the tableau.
+
+    The base step is min(BASE_STEP, 0.9 * lowest active coordinate /
+    widest stencil half-width), and RICHARDSON_LEVELS halvings of it
+    enter the tableau, so every sample keeps its active coordinates
+    above 0.
 
     Returns
     -------
     (value, error_estimate); the estimate is the magnitude of the last
-    Richardson correction (nan when only one level is run).
+    Richardson correction; roundoff, which grows like eps / h**order,
+    is not in it.
 
-    Raises DomainError when the widest stencil would reach below 0 on an
-    active axis; shrink the step or shift the point.
+    Raises DomainError when an active coordinate is not positive.
     """
     orders = tuple(int(k) for k in orders)
     point = tuple(float(x) for x in point)
@@ -113,19 +121,13 @@ def fd_partial(
     total = sum(orders)
     if total < 1:
         raise DomainError("orders: at least one axis needs a positive order")
-    if richardson_levels < 1:
-        raise DomainError(f"richardson_levels={richardson_levels}: need at least 1")
-    if step <= 0:
-        raise DomainError(f"step={step}: must be positive")
     axes = [i for i, k in enumerate(orders) if k > 0]
+    low = min(point[i] for i in axes)
+    if not low > 0.0:
+        raise DomainError(f"point {point}: active coordinates must be positive")
+    reach = max(stencil_halfwidth(orders[i]) for i in axes)
+    step = min(BASE_STEP, 0.9 * low / reach)
     stencils = {i: central_stencil(orders[i]) for i in axes}
-    for i in axes:
-        reach = stencil_halfwidth(orders[i]) * step
-        if point[i] - reach < 0.0:
-            raise DomainError(
-                f"axis {i}: stencil reaches {point[i] - reach!r}, below 0.0; "
-                "shrink the step or shift the point"
-            )
     cache: dict[tuple[float, ...], float] = {}
 
     def sample(x: tuple[float, ...]) -> float:
@@ -134,7 +136,7 @@ def fd_partial(
         return cache[x]
 
     values = []
-    for level in range(richardson_levels):
+    for level in range(RICHARDSON_LEVELS):
         h = step * 0.5**level
         acc = 0.0
         for combo in itertools.product(*(zip(*stencils[i]) for i in axes)):
@@ -156,6 +158,4 @@ def fd_partial(
             [(factor * prev[i + 1] - prev[i]) / (factor - 1) for i in range(len(prev) - 1)]
         )
         p += 2
-    value = tableau[-1][0]
-    estimate = abs(tableau[-1][0] - tableau[-2][-1]) if len(tableau) > 1 else float("nan")
-    return value, estimate
+    return tableau[-1][0], abs(tableau[-1][0] - tableau[-2][-1])

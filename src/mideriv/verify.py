@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import closedform
@@ -31,7 +31,7 @@ from .channel import (
     mutual_information,
 )
 from .errors import DomainError, ValidationError
-from .fd import fd_partial, stencil_halfwidth
+from .fd import BASE_STEP, RICHARDSON_LEVELS, fd_partial
 from .forms import (
     SlotBinding,
     atoms_moment_oracle,
@@ -41,7 +41,6 @@ from .forms import (
     tau_eval,
     univariate_moment_oracle,
 )
-from .partitions import ENUMERATION_LIMIT
 
 # Gap budget per total derivative order; the fd error estimate must also
 # stay below the same figure for a case to pass.
@@ -50,8 +49,9 @@ CENTERING_TOL = 1e-11
 COMBINE_TOL = 1e-10
 LEMMA2_QUAD_ORDER = 64
 ADJUDICATION_TOL = 1e-8
-FD_BASE_STEP = 0.2
-RICHARDSON_LEVELS = 3
+LEMMA1_TRIALS = 100
+CUMULANT_TRIALS = 50
+GAUSSIAN_MAX_ORDER = 6
 
 ADOPTED_CONVENTION = "dI/dsnr_i = E[(X_i - E[X_i|Y])^2] / 2"
 
@@ -126,24 +126,28 @@ class CaseRecord:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "request": self.request,
-            "fd": self.fd,
-            "fd_error": self.fd_error,
-            "formula": self.formula,
-            "formula_uncentered": self.formula_uncentered,
-            "centering_gap": self.centering_gap,
-            "gap": self.gap,
-            "rel_gap": self.rel_gap,
-            "tol": self.tol,
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
+        return asdict(self)
+
+
+def _exact_row(suite: str, request: str, differences: list, detail: str = "", **values) -> CaseRecord:
+    """An exact row: tol 0, gap the largest |difference|, pass only if every difference is 0."""
+    return CaseRecord(
+        suite=suite,
+        request=request,
+        gap=max(abs(float(d)) for d in differences),
+        tol=0.0,
+        verdict="fail" if any(differences) else "pass",
+        detail=detail,
+        **values,
+    )
 
 
 def _csv_cell(value: float | None) -> str:
     return "" if value is None else repr(float(value))
+
+
+def _convention_note() -> dict:
+    return {"convention": ADOPTED_CONVENTION, "measured": False}
 
 
 @dataclass
@@ -153,7 +157,7 @@ class VerificationReport:
     suite: str
     seed: int
     config: dict
-    adjudication: dict
+    adjudication: dict = field(default_factory=_convention_note)
     cases: list[CaseRecord] = field(default_factory=list)
 
     @property
@@ -161,15 +165,7 @@ class VerificationReport:
         return all(c.passed for c in self.cases)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "suite": self.suite,
-            "seed": self.seed,
-            "passed": self.passed,
-            "config": self.config,
-            "adjudication": self.adjudication,
-            "cases": [c.to_dict() for c in self.cases],
-        }
+        return {"schema": SCHEMA_VERSION, "passed": self.passed, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -183,10 +179,6 @@ class VerificationReport:
                 [c.request, _csv_cell(c.fd), _csv_cell(c.formula), _csv_cell(c.gap), _csv_cell(c.tol), c.verdict]
             )
         return buf.getvalue()
-
-
-def _convention_note() -> dict:
-    return {"convention": ADOPTED_CONVENTION, "measured": False}
 
 
 def two_point_input() -> DiscreteJoint:
@@ -264,10 +256,10 @@ def fd_mi_partial(
 ) -> tuple[float, float]:
     """The fd side of the check: (value, error estimate) of the partial.
 
-    Finite-differences the directly computed mutual information with
-    the step min(FD_BASE_STEP, 0.9 * lowest active snr / stencil
-    half-width) and RICHARDSON_LEVELS.  memo maps snr points to mi
-    values; share it only between requests on the same law and rule.
+    Finite-differences the directly computed mutual information by
+    fd_partial, which works out the step from the point.  memo maps snr
+    points to mi values; share it only between requests on the same law
+    and rule.
     """
     if memo is None:
         memo = {}
@@ -277,11 +269,7 @@ def fd_mi_partial(
             memo[x] = mutual_information(dist, ChannelSpec(x), quad)
         return memo[x]
 
-    active = [i for i, k in enumerate(request.orders) if k > 0]
-    reach = max(stencil_halfwidth(request.orders[i]) for i in active)
-    low = min(request.point[i] for i in active)
-    step = min(FD_BASE_STEP, 0.9 * low / reach)
-    return fd_partial(f, request.orders, request.point, step=step, richardson_levels=RICHARDSON_LEVELS)
+    return fd_partial(f, request.orders, request.point)
 
 
 def adjudicate_first_derivative() -> dict:
@@ -368,7 +356,7 @@ def verify_derivatives(seed: int = 0, cases: list[DerivativeCase] | None = None)
             for c in cases
         ],
         "richardson_levels": RICHARDSON_LEVELS,
-        "step_rule": "min(0.2, 0.9*min_active_snr/stencil_halfwidth)",
+        "step_rule": f"min({BASE_STEP}, 0.9*min_active_snr/stencil_halfwidth)",
         "tolerance_by_total_order": {str(k): v for k, v in TOLERANCE_BY_ORDER.items()},
         "centering_tolerance": CENTERING_TOL,
     }
@@ -404,39 +392,27 @@ def _quadratic_defect(atoms, probs) -> Fraction:
     return 2 * t((1, 0, 0)) + 2 * t((0, 1, 0)) - t((1, 1, 0)) - t((1, -1, 0))
 
 
-def _largest(differences: list[Fraction]) -> float:
-    """Largest |difference| as a float, the gap of an exact row."""
-    return max(abs(float(d)) for d in differences)
-
-
-def verify_multiquadratic(seed: int = 0, trials: int = 100) -> VerificationReport:
+def verify_multiquadratic(seed: int = 0) -> VerificationReport:
     """Quadratic-in-each-argument identity and independence vanishing.
 
     For seeded rational joints of (X1, X1', X2), checks
     2 t(X1, X2) + 2 t(X1', X2) = t(X1+X1', X2) + t(X1-X1', X2)
     and t = 0 for independent product laws, all in exact arithmetic
-    (prior moments of integer atoms with rational masses): a row passes
-    only on exact equality, and its gap is the largest float |difference|.
-    CLI suite name: lemma1.
+    (prior moments of integer atoms with rational masses).  CLI suite
+    name: lemma1.
     """
-    if trials < 1:
-        raise DomainError(f"trials={trials}: need at least 1")
     rng = random.Random(seed)
-    quadratic = [_quadratic_defect(*closedform.random_rational_joint(rng, 3)) for _ in range(trials)]
+    quadratic = [_quadratic_defect(*closedform.random_rational_joint(rng, 3)) for _ in range(LEMMA1_TRIALS)]
 
     indep = []
-    for _ in range(trials):
+    for _ in range(LEMMA1_TRIALS):
         xs, px = closedform.random_rational_joint(rng, 1)
         ys, py = closedform.random_rational_joint(rng, 1)
         atoms = [(x[0], y[0]) for x in xs for y in ys]
         probs = [p * q for p in px for q in py]
         indep.append(_tau_pair(atoms, probs))
 
-    half = Fraction(1, 2)
-    sign_product = _tau_pair(
-        [(1, 1), (1, -1), (-1, 1), (-1, -1)],
-        [half * half] * 4,
-    )
+    sign_product = _tau_pair([(1, 1), (1, -1), (-1, 1), (-1, -1)], [Fraction(1, 4)] * 4)
 
     degen = []
     for _ in range(10):
@@ -444,44 +420,34 @@ def verify_multiquadratic(seed: int = 0, trials: int = 100) -> VerificationRepor
         degen.append(_quadratic_defect([(x, 0, y) for x, y in atoms], probs))
 
     records = [
-        CaseRecord(
-            suite="lemma1",
-            request=f"quadratic identity, random joints [{trials} trials]",
-            gap=_largest(quadratic),
-            tol=0.0,
-            verdict="pass" if not any(quadratic) else "fail",
-            detail="max |lhs - rhs|, exact rational evaluation",
+        _exact_row(
+            "lemma1",
+            f"quadratic identity, random joints [{LEMMA1_TRIALS} trials]",
+            quadratic,
+            "max |lhs - rhs|, exact rational evaluation",
         ),
-        CaseRecord(
-            suite="lemma1",
-            request=f"independence vanishing, product joints [{trials} trials]",
-            gap=_largest(indep),
-            tol=0.0,
-            verdict="pass" if not any(indep) else "fail",
-            detail="max |t| over independent products",
+        _exact_row(
+            "lemma1",
+            f"independence vanishing, product joints [{LEMMA1_TRIALS} trials]",
+            indep,
+            "max |t| over independent products",
         ),
-        CaseRecord(
-            suite="lemma1",
-            request="independence vanishing, two-point product",
-            gap=abs(float(sign_product)),
-            tol=0.0,
-            verdict="pass" if sign_product == 0 else "fail",
+        _exact_row(
+            "lemma1",
+            "independence vanishing, two-point product",
+            [sign_product],
             fd=float(sign_product),
             formula=0.0,
         ),
-        CaseRecord(
-            suite="lemma1",
-            request="degenerate second argument (X' = 0) [10 trials]",
-            gap=_largest(degen),
-            tol=0.0,
-            verdict="pass" if not any(degen) else "fail",
-            detail="identity through tau(X+0) = tau(X-0)",
+        _exact_row(
+            "lemma1",
+            "degenerate second argument (X' = 0) [10 trials]",
+            degen,
+            "identity through tau(X+0) = tau(X-0)",
         ),
     ]
-    config = {"trials": trials, "support_values": [-2, 2], "max_atoms": 5, "arithmetic": "exact"}
-    return VerificationReport(
-        suite="lemma1", seed=seed, config=config, adjudication=_convention_note(), cases=records
-    )
+    config = {"trials": LEMMA1_TRIALS, "support_values": [-2, 2], "max_atoms": 5, "arithmetic": "exact"}
+    return VerificationReport(suite="lemma1", seed=seed, config=config, cases=records)
 
 
 def verify_snr_combining(seed: int = 0) -> VerificationReport:
@@ -516,68 +482,57 @@ def verify_snr_combining(seed: int = 0) -> VerificationReport:
             )
         )
     config = {"quad_order": LEMMA2_QUAD_ORDER, "input": "two-point"}
-    return VerificationReport(
-        suite="lemma2", seed=seed, config=config, adjudication=_convention_note(), cases=records
-    )
+    return VerificationReport(suite="lemma2", seed=seed, config=config, cases=records)
 
 
-def verify_gaussian_chain(seed: int = 0, max_order: int = 6) -> VerificationReport:
+def verify_gaussian_chain(seed: int = 0) -> VerificationReport:
     """Zero-snr derivative chain for the standard Gaussian input.
 
     The diverse-partition form with Gaussian moments must equal the k-th
     derivative of (1/2) log(1+l) at 0, namely (-1)**(k-1) (k-1)!/2,
-    exactly (both sides are rationals).  The k=1 row adds the E[X**2]/2
-    first-order term to the bare form.  CLI suite name: gaussian.
+    exactly (both sides are rationals), for k up to GAUSSIAN_MAX_ORDER.
+    The k=1 row adds the E[X**2]/2 first-order term to the bare form.
+    CLI suite name: gaussian.
     This suite uses no randomness; seed is echoed into the report.
     """
-    if not 1 <= max_order <= ENUMERATION_LIMIT:
-        raise DomainError(f"max_order={max_order}: supported range is 1..{ENUMERATION_LIMIT}")
     oracle = gaussian_moment_oracle()
     records: list[CaseRecord] = []
-    for k in range(1, max_order + 1):
-        binding = SlotBinding((1,) * k)
-        value = tau_eval(binding, oracle, 1)
+    for k in range(1, GAUSSIAN_MAX_ORDER + 1):
+        value = tau_eval(SlotBinding((1,) * k), oracle, 1)
         if k == 1:
             value = value + Fraction(1, 2) * oracle((1, 1))
         reference = closedform.half_log_derivative(k)
-        exact = value == reference
         records.append(
-            CaseRecord(
-                suite="gaussian",
-                request=f"gaussian chain k={k}",
-                gap=abs(float(value - reference)),
-                tol=0.0,
-                verdict="pass" if exact else "fail",
+            _exact_row(
+                "gaussian",
+                f"gaussian chain k={k}",
+                [value - reference],
+                "exact rational equality" + (", includes E[X^2]/2 term" if k == 1 else ""),
                 fd=float(value),
                 formula=float(reference),
-                detail="exact rational equality" + (", includes E[X^2]/2 term" if k == 1 else ""),
             )
         )
-    config = {"max_order": max_order, "arithmetic": "exact"}
-    return VerificationReport(
-        suite="gaussian", seed=seed, config=config, adjudication=_convention_note(), cases=records
-    )
+    config = {"max_order": GAUSSIAN_MAX_ORDER, "arithmetic": "exact"}
+    return VerificationReport(suite="gaussian", seed=seed, config=config, cases=records)
 
 
-def verify_cumulant_routes(seed: int = 0, trials: int = 50) -> VerificationReport:
+def verify_cumulant_routes(seed: int = 0) -> VerificationReport:
     """Set-partition cumulants against the moment-cumulant recursions.
 
     Random rational moment oracles for n up to 6, compared exactly; the
     Gaussian rows and the classic variance identity round it out.  CLI
     suite name: cumulants.
     """
-    if trials < 1:
-        raise DomainError(f"trials={trials}: need at least 1")
     rng = random.Random(seed)
 
     subset = []
-    for _ in range(trials):
+    for _ in range(CUMULANT_TRIALS):
         n = rng.randint(1, 6)
         oracle = closedform.random_rational_moments(rng)
         subset.append(kappa_eval(n, oracle) - kappa_recursion_oracle(n, oracle))
 
     univariate = []
-    for _ in range(trials):
+    for _ in range(CUMULANT_TRIALS):
         n = rng.randint(1, 6)
         moments = [Fraction(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(n)]
         oracle = univariate_moment_oracle(moments)
@@ -587,47 +542,25 @@ def verify_cumulant_routes(seed: int = 0, trials: int = 50) -> VerificationRepor
     gaussian = [kappa_eval(k, gauss) for k in range(3, 7)]
 
     variance = kappa_eval(2, univariate_moment_oracle([Fraction(3), Fraction(10)]))
-    variance_exact = variance == 1
 
     records = [
-        CaseRecord(
-            suite="cumulants",
-            request=f"partition sum vs subset recursion [{trials} trials]",
-            gap=_largest(subset),
-            tol=0.0,
-            verdict="pass" if not any(subset) else "fail",
-            detail="exact rational equality, n in 1..6",
+        _exact_row(
+            "cumulants",
+            f"partition sum vs subset recursion [{CUMULANT_TRIALS} trials]",
+            subset,
+            "exact rational equality, n in 1..6",
         ),
-        CaseRecord(
-            suite="cumulants",
-            request=f"partition sum vs univariate recursion [{trials} trials]",
-            gap=_largest(univariate),
-            tol=0.0,
-            verdict="pass" if not any(univariate) else "fail",
-            detail="exact rational equality, identical-variable route",
+        _exact_row(
+            "cumulants",
+            f"partition sum vs univariate recursion [{CUMULANT_TRIALS} trials]",
+            univariate,
+            "exact rational equality, identical-variable route",
         ),
-        CaseRecord(
-            suite="cumulants",
-            request="gaussian cumulants k=3..6",
-            gap=_largest(gaussian),
-            tol=0.0,
-            verdict="pass" if not any(gaussian) else "fail",
-            detail="higher Gaussian cumulants vanish exactly",
-        ),
-        CaseRecord(
-            suite="cumulants",
-            request="variance identity m=(3,10)",
-            gap=abs(float(variance - 1)),
-            tol=0.0,
-            verdict="pass" if variance_exact else "fail",
-            fd=float(variance),
-            formula=1.0,
-        ),
+        _exact_row("cumulants", "gaussian cumulants k=3..6", gaussian, "higher Gaussian cumulants vanish exactly"),
+        _exact_row("cumulants", "variance identity m=(3,10)", [variance - 1], fd=float(variance), formula=1.0),
     ]
-    config = {"trials": trials, "max_n": 6, "arithmetic": "exact"}
-    return VerificationReport(
-        suite="cumulants", seed=seed, config=config, adjudication=_convention_note(), cases=records
-    )
+    config = {"trials": CUMULANT_TRIALS, "max_n": 6, "arithmetic": "exact"}
+    return VerificationReport(suite="cumulants", seed=seed, config=config, cases=records)
 
 
 def verify_all(seed: int = 0) -> VerificationReport:

@@ -222,6 +222,16 @@ def test_far_apart_atoms_keep_mi_at_entropy():
         assert abs(mutual_information(dist, ChannelSpec((lam,))) - math.log(2)) < 1e-15
 
 
+def test_common_offset_leaves_mi_unchanged():
+    # a shift shared by every atom cancels in the posterior; the grid
+    # terms are built from centered signals, so it does not even round
+    spec = ChannelSpec((1.0,))
+    base = mutual_information(DiscreteJoint([[0.0], [1.0]], [0.5, 0.5]), spec)
+    for off in (1e6, 1e8, 1e10, 1e14):
+        shifted = DiscreteJoint([[off], [off + 1.0]], [0.5, 0.5])
+        assert mutual_information(shifted, spec) == base
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_average_raises_underflow():

@@ -194,6 +194,16 @@ def test_mi_invalid_dist_payload(capsys, tmp_path):
     assert err.startswith("mideriv: error[validation]: probs")
 
 
+def test_mi_binary_dist_file_is_a_validation_error(capsys, tmp_path):
+    path = tmp_path / "law.bin"
+    path.write_bytes(b"\x80\xff{\"n\": 1}")
+    code, out, err = run(capsys, "mi", "--dist", str(path), "--snr", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mideriv: error[validation]: dist file")
+    assert "UTF-8" in err
+
+
 def test_mi_rank_above_limit_is_size_limit(capsys, tmp_path):
     # five atoms in general position on four channels: difference rank 4
     support = [[0.0] * 4] + [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]

@@ -32,7 +32,7 @@ def _full_tensor(dist, spec, quad):
     v = dist.support * np.sqrt(spec.snr)
     D = 0.5 * ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
     Z, W = quad.tensor(dist.n)
-    return dist.probs, np.log(dist.probs), D, v @ Z.T, W
+    return dist.probs, np.log(dist.probs), D, (v - v.mean(axis=0)) @ Z.T, W
 
 
 def oracle_mi(dist, spec, quad):
