@@ -4,7 +4,9 @@ Data goes to standard output; summaries and errors go to the
 diagnostic stream with stable codes (`mideriv: error[<code>]: ...`).
 Exit status: 0 success, 1 failed verification, 2 usage or input error.
 All JSON payloads carry a top-level "schema": 1 and are byte-stable
-for a fixed (command, seed, config).
+for a fixed (command, seed, config).  A payload is one compact line
+with sorted keys (pipe it to ``python -m json.tool`` to read it);
+verify reports keep their indented layout.
 """
 from __future__ import annotations
 
@@ -34,7 +36,9 @@ def _emit_error(code: str, message: str) -> int:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # No indent: with one, the json module leaves its C encoder for the
+    # pure-Python one, several times slower on large expansions.
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def _parse_snr(text: str) -> tuple[float, ...]:

@@ -186,11 +186,17 @@ class SymbolicExpansion:
         acc: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms:
             key = canonical_blocks(mono)
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
-        cleaned = tuple(
-            (m, acc[m]) for m in sorted(acc, key=_term_key) if acc[m] != 0
-        )
+            coeff = Fraction(coeff)
+            acc[key] = acc[key] + coeff if key in acc else coeff
+        cleaned = tuple((m, acc[m]) for m in sorted(acc, key=_term_key) if acc[m])
         object.__setattr__(self, "terms", cleaned)
+
+    @classmethod
+    def _canonical(cls, terms: tuple[tuple[Monomial, Fraction], ...]) -> "SymbolicExpansion":
+        """Wrap terms that are already canonical, skipping __post_init__."""
+        expansion = object.__new__(cls)
+        object.__setattr__(expansion, "terms", terms)
+        return expansion
 
     def evaluate(self, oracle: MomentOracle):
         """Sum of coefficient * product of block moments.
@@ -220,32 +226,44 @@ class SymbolicExpansion:
         single = len(used) == 1 and all(
             len(set(b)) == 1 for mono, _ in self.terms for b in mono
         )
+        # blocks and coefficients repeat across terms: name each once
+        names: dict[Block, str] = {}
+        signs: dict[tuple[int, int], tuple[str, str]] = {}
         out = []
         for mono, coeff in self.terms:
             factors = []
             for block, grp in itertools.groupby(mono):
                 e = len(list(grp))
-                base = f"M{len(block)}" if single else _block_str(block)
+                base = names.get(block)
+                if base is None:
+                    base = names[block] = f"M{len(block)}" if single else _block_str(block)
                 factors.append(base + (f"^{e}" if e > 1 else ""))
-            mag = abs(coeff)
+            key = (coeff.numerator, coeff.denominator)
+            if key not in signs:
+                mag = abs(coeff)
+                signs[key] = ("+" if coeff > 0 else "-", "" if mag == 1 else str(mag))
+            sign, mag = signs[key]
             body = "*".join(factors)
             if not body:
-                body = str(mag)
-            elif mag != 1:
+                body = mag or "1"
+            elif mag:
                 body = f"{mag}*{body}"
             if not out:
-                out.append(body if coeff > 0 else f"-{body}")
+                out.append(body if sign == "+" else f"-{body}")
             else:
-                out.append(f" + {body}" if coeff > 0 else f" - {body}")
+                out.append(f" {sign} {body}")
         return "".join(out)
 
     def to_dict(self) -> dict:
-        return {
-            "terms": [
-                {"blocks": [list(b) for b in mono], "coeff": str(coeff)}
-                for mono, coeff in self.terms
-            ]
-        }
+        # keyed by the integer pair: hashing a Fraction costs more than str
+        texts: dict[tuple[int, int], str] = {}
+        terms = []
+        for mono, coeff in self.terms:
+            key = (coeff.numerator, coeff.denominator)
+            if key not in texts:
+                texts[key] = str(coeff)
+            terms.append({"blocks": [list(b) for b in mono], "coeff": texts[key]})
+        return {"terms": terms}
 
 
 # A unit of the programme's state is one raw block value with its
@@ -310,7 +328,8 @@ def _tau_symbolic(variables: tuple[int, ...], min_block_size: int) -> SymbolicEx
 
     With min_block_size=2 a state is dropped once its singleton blocks
     outnumber twice the slots still to come: each slot grows at most
-    two blocks.  Coefficients are kept as integers over 2**n.
+    two blocks, so no state left after the last slot holds a singleton.
+    Coefficients are kept as integers over 2**n.
     """
     n = len(variables)
     states: dict[tuple[Unit, ...], int] = {(): 1}
@@ -327,15 +346,30 @@ def _tau_symbolic(variables: tuple[int, ...], min_block_size: int) -> SymbolicEx
     weights: dict[tuple[int, int], int] = {}
     acc: dict[Monomial, int] = {}
     for state, mult in states.items():
-        if any(len(c) < min_block_size for c, _ in state):
-            continue
-        mono = tuple(c for c, d in state for _ in range(1 + d))
-        k, s = len(mono), sum(d for _, d in state)
+        # Canonical block order (lexicographic, then a stable sort by
+        # size, largest first), so equal monomials merge here and the
+        # sorted terms need no second canonicalisation.
+        doubled = [c for c, d in state if d]
+        blocks = [c for c, _ in state]
+        if doubled:
+            blocks += doubled
+            blocks.sort()
+        blocks.sort(key=len, reverse=True)
+        mono = tuple(blocks)
+        k, s = len(mono), len(doubled)
         if (k, s) not in weights:
             # (-1)**(k-1) * (k-2)! / 2**s, scaled by 2**n
             weights[k, s] = (-1) ** (k - 1) * math.factorial(k - 2) * 2 ** (n - s)
         acc[mono] = acc.get(mono, 0) + mult * weights[k, s]
-    return SymbolicExpansion(tuple((m, Fraction(c, 2**n)) for m, c in acc.items()))
+    coeffs: dict[int, Fraction] = {}
+    terms = []
+    for mono in sorted(acc, key=_term_key):
+        c = acc[mono]
+        if c:
+            if c not in coeffs:
+                coeffs[c] = Fraction(c, 2**n)
+            terms.append((mono, coeffs[c]))
+    return SymbolicExpansion._canonical(tuple(terms))
 
 
 def tau_symbolic(binding: SlotBinding, min_block_size: int = 1) -> SymbolicExpansion:

@@ -9,6 +9,7 @@ then lexicographically) so values compare, hash and serialize stably.
 """
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -29,8 +30,9 @@ Block = tuple[int, ...]
 
 def canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[Block, ...]:
     """Blocks sorted internally, then by size descending and lexicographically."""
-    inner = (tuple(sorted(b)) for b in blocks)
-    return tuple(sorted(inner, key=lambda b: (-len(b), b)))
+    # lexicographic first, then a stable sort by size, largest first
+    inner = sorted(tuple(sorted(b)) for b in blocks)
+    return tuple(sorted(inner, key=len, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,23 @@ class Partition:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"blocks: not a list of integer blocks ({exc})") from exc
         object.__setattr__(self, "blocks", blocks)
+        self._check_coverage()
+
+    @classmethod
+    def _canonical(cls, blocks: tuple[Block, ...]) -> "Partition":
+        """Wrap integer blocks already in canonical order; coverage is still checked."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "blocks", blocks)
+        partition._check_coverage()
+        return partition
+
+    def _check_coverage(self) -> None:
+        blocks = self.blocks
         if not blocks:
             raise ValidationError("blocks: a partition needs at least one block")
-        counts = Counter()
-        for b in blocks:
-            if not b:
-                raise ValidationError("blocks: empty block")
-            counts.update(b)
+        if not all(blocks):
+            raise ValidationError("blocks: empty block")
+        counts = Counter(itertools.chain.from_iterable(blocks))
         if min(counts) < 1:
             raise ValidationError("blocks: indices are 1-based")
         n = max(counts)
@@ -80,7 +92,8 @@ class Partition:
     @property
     def s(self) -> int:
         """Number of block values occurring exactly twice."""
-        return sum(1 for c in Counter(self.blocks).values() if c == 2)
+        # coverage lets a block value occur at most twice
+        return len(self.blocks) - len(set(self.blocks))
 
     @property
     def is_diverse(self) -> bool:
@@ -156,7 +169,7 @@ def enumerate_diverse(n: int, min_block_size: int = 1) -> list[Partition]:
 
     extend((), 1)
     ordered = sorted(results, key=lambda p: (len(p), p))
-    return [Partition(p) for p in ordered]
+    return [Partition._canonical(p) for p in ordered]
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:

@@ -99,6 +99,31 @@ def test_tau_symbolic_json(capsys):
     assert payload["expansion"]["terms"][0]["coeff"] == "-1/2"
 
 
+def test_json_payloads_are_one_compact_line_with_sorted_keys(capsys, dist_file):
+    def sorted_pairs(pairs):
+        keys = [key for key, _ in pairs]
+        assert keys == sorted(keys)
+        return dict(pairs)
+
+    commands = [
+        ("partitions", "--n", "3", "--graphs"),
+        ("tau", "--multiplicities", "2,1", "--symbolic"),
+        ("tau", "--multiplicities", "3", "--bar", "--symbolic"),
+        ("tau", "--multiplicities", "1", "--dist", dist_file, "--snr", "0.8", "--quad-order", "32"),
+        ("mi", "--dist", dist_file, "--snr", "1.0", "--quad-order", "32"),
+    ]
+    payloads = {}
+    for argv in commands:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        assert out.endswith("\n") and out.count("\n") == 1, argv
+        payload = json.loads(out, object_pairs_hook=sorted_pairs)
+        assert json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n" == out, argv
+        payloads[argv[:3]] = payload
+    assert payloads["tau", "--multiplicities", "3"]["pretty"] == "M2^3 - 1/2*M3^2"
+    assert payloads["partitions", "--n", "3"]["count"] == 16
+
+
 def test_tau_numeric_prints_fd_gap(capsys, dist_file):
     code, out, _ = run(
         capsys, "tau", "--multiplicities", "2", "--dist", dist_file,

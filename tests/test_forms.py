@@ -14,6 +14,7 @@ from mideriv.errors import DomainError, SizeLimitError, ValidationError
 from mideriv.forms import (
     SlotBinding,
     SymbolicExpansion,
+    _tau_symbolic,
     atoms_moment_oracle,
     gaussian_moment_oracle,
     kappa_eval,
@@ -168,6 +169,26 @@ def test_programme_matches_oracle_on_random_bindings(variables, mbs):
     n = len(variables)
     raw = weighted(enumerate_diverse(n, mbs), n, mbs)
     assert tau_symbolic(SlotBinding(tuple(variables)), mbs) == collapse(raw, variables)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_programme_output_is_already_canonical(n):
+    # _tau_symbolic hands its terms over sorted and merged, skipping the
+    # constructor's canonicalisation; running it again must change nothing
+    try:
+        for pattern in multiplicity_patterns(n):
+            for mbs in (1, 2):
+                expansion = tau_symbolic(SlotBinding.from_multiplicities(pattern), mbs)
+                assert SymbolicExpansion(expansion.terms) == expansion, (pattern, mbs)
+    finally:
+        if n == 7:
+            _tau_symbolic.cache_clear()  # the distinct 7-slot form holds 624,889 terms
+
+
+def test_kappa_expansions_are_canonical():
+    for n in range(1, 9):
+        expansion = kappa_symbolic(n)
+        assert SymbolicExpansion(expansion.terms) == expansion, n
 
 
 def test_gaussian_chain_at_order_seven():

@@ -5,10 +5,11 @@ import csv
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mideriv import closedform, verify
+from mideriv import ChannelSpec, DiscreteJoint, closedform, gauss_hermite, verify
 from mideriv.errors import DomainError, ValidationError
 from mideriv.verify import (
     CENTERING_TOL,
@@ -98,6 +99,18 @@ def test_cases_on_one_law_and_rule_share_mi_samples(monkeypatch):
     for case in cases:
         verify_derivatives(cases=[case])
     assert shared < len(calls)
+
+
+def test_formula_matches_the_stored_two_point_references():
+    # 40-digit mpmath values, made apart from mideriv (see the file's provenance)
+    data = json.loads((Path(__file__).parent / "data" / "two_point_references.json").read_text(encoding="utf-8"))
+    dist = DiscreteJoint(data["support"], data["probs"])
+    quad = gauss_hermite(300)
+    assert sorted(data["derivatives"]) == ["1", "2", "3", "4"]
+    for order, text in data["derivatives"].items():
+        reference = Fraction(text)
+        value = verify.partition_formula(dist, ChannelSpec((data["snr"],)), (int(order),), quad)
+        assert abs(Fraction(value) - reference) <= Fraction(1, 10**13) * abs(reference), order
 
 
 def test_adjudication_is_recorded(derivative_run):
