@@ -203,13 +203,6 @@ class DiscreteJoint:
         """Discrete entropy in nats, an upper bound for any channel output."""
         return float(-(self.probs * np.log(self.probs)).sum())
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "support": [[float(x) for x in row] for row in self.support],
-            "probs": [float(p) for p in self.probs],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteJoint":
         if not isinstance(data, dict):
@@ -217,13 +210,18 @@ class DiscreteJoint:
         for key in ("n", "support", "probs"):
             if key not in data:
                 raise ValidationError(f"{key}: missing")
-        try:
-            dist = cls(np.asarray(data["support"], dtype=float), np.asarray(data["probs"], dtype=float))
-        except ValueError as exc:
-            if isinstance(exc, ValidationError):
-                raise
-            raise ValidationError(f"support: not a rectangular numeric array ({exc})") from exc
         declared = data["n"]
+        if not isinstance(declared, int) or isinstance(declared, bool):
+            raise ValidationError(f"n: expected an integer, got {declared!r}")
+        try:
+            support = np.asarray(data["support"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"support: not a rectangular numeric array ({exc})") from exc
+        try:
+            probs = np.asarray(data["probs"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"probs: not a numeric array ({exc})") from exc
+        dist = cls(support, probs)
         if declared != dist.n:
             raise ValidationError(f"n: declared {declared} but support points have {dist.n} coordinates")
         return dist
@@ -250,21 +248,6 @@ class ChannelSpec:
     @property
     def n(self) -> int:
         return len(self.snr)
-
-
-def _check_dims(dist: DiscreteJoint, spec: ChannelSpec) -> None:
-    if dist.n != spec.n:
-        raise DomainError(
-            f"snr has {spec.n} channels but the distribution has {dist.n} coordinates"
-        )
-
-
-def _resolve_quad(quad: QuadratureRule | None) -> QuadratureRule:
-    if quad is None:
-        return gauss_hermite(DEFAULT_QUAD_ORDER)
-    if quad.order < MIN_QUAD_ORDER:
-        raise DomainError(f"quadrature order {quad.order} is below the minimum {MIN_QUAD_ORDER}")
-    return quad
 
 
 # Inside the span the grid axes are the principal axes of the atoms,
@@ -363,8 +346,13 @@ def _difference_basis(v: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return span @ R @ _DIAGONALS[rank]
 
 
-def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
+def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule | None):
     """Arguments of _posterior_pass on the projected grid: logp, D, G, W.
+
+    The one input check of the posterior pass: spec must have one snr
+    per coordinate of dist, and quad None means
+    gauss_hermite(DEFAULT_QUAD_ORDER); a rule below MIN_QUAD_ORDER, or a
+    mismatch, raises DomainError before anything is built.
 
     With v = sqrt(l) * x, D[a, b] = |v_a - v_b|**2 / 2 and (v_b - v_a) . z
     are all the component of atom a needs; splitting z = U t + z_perp over
@@ -375,6 +363,14 @@ def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule):
     than MAX_GRID_ATOM_POINTS atoms times grid points raise SizeLimitError
     before any grid is built.
     """
+    if dist.n != spec.n:
+        raise DomainError(
+            f"snr has {spec.n} channels but the distribution has {dist.n} coordinates"
+        )
+    if quad is None:
+        quad = gauss_hermite(DEFAULT_QUAD_ORDER)
+    elif quad.order < MIN_QUAD_ORDER:
+        raise DomainError(f"quadrature order {quad.order} is below the minimum {MIN_QUAD_ORDER}")
     v = dist.support * np.sqrt(spec.snr)
     # D reaches +inf only for atoms more than about 1e154 apart, and +inf
     # is then the exact limit: such atoms have posterior weight 0
@@ -451,8 +447,7 @@ def mutual_information(
     the support differences span more than MAX_TENSOR_DIM dimensions or
     the grid exceeds MAX_GRID_ATOM_POINTS.
     """
-    _check_dims(dist, spec)
-    return _posterior_pass(dist.probs, *_grid_parts(dist, spec, _resolve_quad(quad)))
+    return _posterior_pass(dist.probs, *_grid_parts(dist, spec, quad))
 
 
 def mmse(
@@ -468,7 +463,6 @@ def mmse(
     raises QuadratureUnderflowError, as in mutual_information; here that
     also happens when x_i**2 overflows float64.
     """
-    _check_dims(dist, spec)
     if not 1 <= channel <= dist.n:
         raise DomainError(f"channel {channel} leaves 1..{dist.n}")
     col = dist.support[:, channel - 1]
@@ -478,7 +472,7 @@ def mmse(
         mu = col @ w
         return col2 @ w - mu * mu
 
-    return _posterior_pass(dist.probs, *_grid_parts(dist, spec, _resolve_quad(quad)), spread)
+    return _posterior_pass(dist.probs, *_grid_parts(dist, spec, quad), spread)
 
 
 def expected_conditional_tau(
@@ -502,7 +496,6 @@ def expected_conditional_tau(
     non-finite average raises QuadratureUnderflowError, as in
     mutual_information.
     """
-    _check_dims(dist, spec)
     if centered and binding.n < 2:
         raise DomainError(
             "centered path needs at least two slots; first-order content goes through mmse"
@@ -535,5 +528,5 @@ def expected_conditional_tau(
             moments = dict(zip(blocks, raw @ w))
         return expansion.evaluate(MomentOracle(moments.__getitem__))
 
-    return _posterior_pass(dist.probs, *_grid_parts(dist, spec, _resolve_quad(quad)), form)
+    return _posterior_pass(dist.probs, *_grid_parts(dist, spec, quad), form)
 

@@ -11,6 +11,10 @@ The step is worked out from the point, min(BASE_STEP, 0.9 * lowest
 active coordinate / widest stencil half-width).  The estimate covers
 truncation, not roundoff: order 4 of (1/2) log(1+x) at 0.05 is off by
 2.4e-6 with an estimate of 2.3e-9.
+
+f is called at every nonzero-weight stencil point of every level, and
+the levels share points (the center and every second point of a finer
+level), so a caller whose f is costly memoises it.
 """
 from __future__ import annotations
 
@@ -95,7 +99,8 @@ def fd_partial(
 
     Parameters
     ----------
-    f : callable taking a tuple of floats.
+    f : callable taking a tuple of floats, called once per
+        nonzero-weight sample of every level; repeats are not cached.
     orders : per-axis derivative orders; zeros skip the axis.
     point : evaluation point, same length as orders.
 
@@ -128,13 +133,6 @@ def fd_partial(
     reach = max(stencil_halfwidth(orders[i]) for i in axes)
     step = min(BASE_STEP, 0.9 * low / reach)
     stencils = {i: central_stencil(orders[i]) for i in axes}
-    cache: dict[tuple[float, ...], float] = {}
-
-    def sample(x: tuple[float, ...]) -> float:
-        if x not in cache:
-            cache[x] = f(x)
-        return cache[x]
-
     values = []
     for level in range(RICHARDSON_LEVELS):
         h = step * 0.5**level
@@ -146,7 +144,7 @@ def fd_partial(
                 x[i] = x[i] + offset * h
                 weight *= w
             if weight:
-                acc += float(weight) * sample(tuple(x))
+                acc += float(weight) * f(tuple(x))
         values.append(acc / h**total)
 
     tableau = [values]

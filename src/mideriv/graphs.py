@@ -4,7 +4,9 @@ A diverse partition of {1, 1, ..., n, n} places each index in exactly
 two distinct blocks, so drawing one vertex per block and one edge per
 index (joining the two blocks that contain it) yields a loop-free
 multigraph with labeled edges.  The correspondence is a bijection; both
-directions live here, along with a DOT serializer.
+directions live here, along with a DOT serializer.  A partition that
+repeats an index inside a block would give that edge a loop, which the
+multigraph constructor rejects.
 """
 from __future__ import annotations
 
@@ -18,47 +20,43 @@ from .partitions import Partition
 class LabeledMultigraph:
     """Multigraph with vertices 0..vertex_count-1 and one edge per label.
 
-    Edges are stored as (u, v, label) with u < v, ordered by label.
-    Labels must be exactly 1..n with no repeats; loops are rejected.
+    Edges are taken exactly as stored: a tuple of (u, v, label) tuples of
+    ints with 0 <= u < v < vertex_count, the i-th edge labeled i, so the
+    labels run 1..n in order.  The constructor checks this and raises
+    DomainError; it does not convert, swap or reorder anything.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        edges = []
-        for e in self.edges:
-            u, v, lab = (int(x) for x in e)
+        count = self.vertex_count
+        if type(count) is not int or count < 1:
+            raise DomainError(f"vertex_count={count!r}: need an integer >= 1")
+        if type(self.edges) is not tuple:
+            raise DomainError(f"edges: expected a tuple, got {type(self.edges).__name__}")
+        for label, edge in enumerate(self.edges, start=1):
+            if type(edge) is not tuple or len(edge) != 3:
+                raise DomainError(f"edge {edge!r}: expected a (u, v, label) tuple")
+            u, v, lab = edge
+            if not (type(u) is type(v) is type(lab) is int):
+                raise DomainError(f"edge {edge!r}: entries must be ints")
             if u == v:
                 raise DomainError(f"edge with label {lab} is a loop at vertex {u}")
-            edges.append((min(u, v), max(u, v), lab))
-        edges.sort(key=lambda e: e[2])
-        object.__setattr__(self, "edges", tuple(edges))
-        if self.vertex_count < 1:
-            raise DomainError(f"vertex_count={self.vertex_count}: need at least one vertex")
-        labels = [lab for _, _, lab in self.edges]
-        if labels != list(range(1, len(labels) + 1)):
-            raise DomainError(
-                f"edge labels {sorted(labels)} are not exactly 1..{len(labels)}"
-            )
-        for u, v, lab in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise DomainError(f"edge ({u}, {v}, {lab}) leaves vertices 0..{self.vertex_count - 1}")
-
-    @property
-    def n(self) -> int:
-        """Number of edge labels."""
-        return len(self.edges)
+            if lab != label:
+                raise DomainError(f"edge {edge}: expected label {label}, labels run 1..n in order")
+            if not 0 <= u < v < count:
+                raise DomainError(f"edge {edge}: need 0 <= u < v < {count}")
 
 
 def partition_to_graph(partition: Partition) -> LabeledMultigraph:
     """Dual multigraph of a diverse partition.
 
     Vertex i is the i-th block of the canonical block order; the edge
-    labeled j joins the two blocks containing index j.
+    labeled j joins the two blocks containing index j.  Blocks are
+    visited in order, so each edge comes out as (u, v, j) with u <= v,
+    and u == v (a repeated index, so not diverse) is rejected as a loop.
     """
-    if not partition.is_diverse:
-        raise DomainError("partition is not diverse: some block repeats an index")
     where: dict[int, list[int]] = {}
     for vi, block in enumerate(partition.blocks):
         for idx in block:

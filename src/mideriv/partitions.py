@@ -80,28 +80,10 @@ class Partition:
             )
 
     @property
-    def n(self) -> int:
-        """Number of distinct indices."""
-        return max(b[-1] for b in self.blocks)
-
-    @property
-    def k(self) -> int:
-        """Block count."""
-        return len(self.blocks)
-
-    @property
     def s(self) -> int:
         """Number of block values occurring exactly twice."""
         # coverage lets a block value occur at most twice
         return len(self.blocks) - len(set(self.blocks))
-
-    @property
-    def is_diverse(self) -> bool:
-        """True when no block contains a repeated index."""
-        return all(len(set(b)) == len(b) for b in self.blocks)
-
-    def min_block_size(self) -> int:
-        return min(len(b) for b in self.blocks)
 
     def to_dict(self) -> dict:
         return {"blocks": [list(b) for b in self.blocks], "s": self.s}

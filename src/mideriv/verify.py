@@ -125,9 +125,6 @@ class CaseRecord:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _exact_row(suite: str, request: str, differences: list, detail: str = "", **values) -> CaseRecord:
     """An exact row: tol 0, gap the largest |difference|, pass only if every difference is 0."""
@@ -257,9 +254,10 @@ def fd_mi_partial(
     """The fd side of the check: (value, error estimate) of the partial.
 
     Finite-differences the directly computed mutual information by
-    fd_partial, which works out the step from the point.  memo maps snr
-    points to mi values; share it only between requests on the same law
-    and rule.
+    fd_partial, which works out the step from the point and asks again
+    for points its levels share.  memo maps snr points to mi values and
+    is the only store of samples; share it only between requests on the
+    same law and rule.
     """
     if memo is None:
         memo = {}

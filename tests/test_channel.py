@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 
 from mideriv import closedform
 from mideriv.channel import (
@@ -16,6 +17,7 @@ from mideriv.channel import (
     MIN_QUAD_ORDER,
     ChannelSpec,
     DiscreteJoint,
+    QuadratureRule,
     expected_conditional_tau,
     gauss_hermite,
     mmse,
@@ -97,12 +99,31 @@ def test_joint_atom_limit():
 
 def test_joint_entropy_and_round_trip():
     assert abs(TWO_POINT.entropy() - math.log(2)) < 1e-15
-    data = PAIR.to_dict()
-    assert data["n"] == 2
-    assert DiscreteJoint.from_dict(data).to_dict() == data
+    data = {"n": 2, "support": [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], "probs": [0.35, 0.15, 0.15, 0.35]}
+    dist = DiscreteJoint.from_dict(data)
+    assert dist.n == 2
+    assert dist.support.tolist() == data["support"]
+    assert dist.probs.tolist() == data["probs"]
     data["n"] = 3
-    with pytest.raises(ValidationError, match="n"):
+    with pytest.raises(ValidationError, match="^n: declared 3"):
         DiscreteJoint.from_dict(data)
+
+
+def test_joint_from_dict_names_the_offending_field():
+    good = {"n": 1, "support": [[1], [2]], "probs": [0.5, 0.5]}
+    for key, value, field in [
+        ("probs", ["a", "b"], "probs"),
+        ("probs", [[0.5], [0.5, 0.0]], "probs"),
+        ("probs", {"a": 1}, "probs"),
+        ("support", [[1], [2, 3]], "support"),
+        ("support", [["x"], [2]], "support"),
+        ("n", True, "n"),
+        ("n", 1.0, "n"),
+        ("n", "1", "n"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{field}: "):
+            DiscreteJoint.from_dict({**good, key: value})
+    assert DiscreteJoint.from_dict(good).n == 1
 
 
 def test_channel_spec_validation():
@@ -267,6 +288,24 @@ def test_mmse_matches_closed_form_and_decreases():
         assert abs(value - closedform.two_point_mmse(lam)) < 1e-11
         values.append(value)
     assert values == sorted(values, reverse=True)
+
+
+def test_posterior_pass_checks_its_inputs_once():
+    # 8 nodes integrate like a standard normal, but sit below the minimum
+    nodes, weights = hermegauss(8)
+    coarse = QuadratureRule(8, nodes, weights / math.sqrt(2.0 * math.pi))
+    calls = [
+        lambda spec, quad: mutual_information(PAIR, spec, quad),
+        lambda spec, quad: mmse(PAIR, spec, channel=2, quad=quad),
+        lambda spec, quad: expected_conditional_tau(PAIR, spec, SlotBinding((1, 2)), quad=quad),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="snr has 1 channels but the distribution has 2"):
+            call(ChannelSpec((1.0,)), None)
+        with pytest.raises(DomainError, match="quadrature order 8 is below the minimum 16"):
+            call(ChannelSpec((0.5, 0.9)), coarse)
+        spec = ChannelSpec((0.5, 0.9))
+        assert call(spec, None) == call(spec, gauss_hermite(DEFAULT_QUAD_ORDER))
 
 
 def test_mmse_channel_index_guard():

@@ -219,6 +219,15 @@ def test_mi_invalid_dist_payload(capsys, tmp_path):
     assert err.startswith("mideriv: error[validation]: probs")
 
 
+def test_mi_non_numeric_probs_name_the_probs_field(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 1, "support": [[1], [2]], "probs": ["a", "b"]}', encoding="utf-8")
+    code, out, err = run(capsys, "mi", "--dist", str(path), "--snr", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mideriv: error[validation]: probs: ")
+
+
 def test_mi_binary_dist_file_is_a_validation_error(capsys, tmp_path):
     path = tmp_path / "law.bin"
     path.write_bytes(b"\x80\xff{\"n\": 1}")

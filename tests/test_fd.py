@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from mideriv import gauss_hermite, verify
 from mideriv.errors import DomainError
 from mideriv.fd import central_stencil, fd_partial, fornberg_weights, stencil_halfwidth
 
@@ -90,18 +91,27 @@ def test_fd_validation_and_domain_guard():
         fd_partial(f, (1,), (0.0,))
 
 
-def test_fd_reuses_cached_evaluations_across_levels():
-    calls = []
+def test_fd_mi_partial_evaluates_each_point_once(monkeypatch):
+    # fd_partial asks again for the points its levels share; the memo of
+    # fd_mi_partial is the one store that answers the repeats
+    asked, evaluated = [], []
+    fd, mi = verify.fd_partial, verify.mutual_information
 
-    def f(x):
-        calls.append(x)
-        return x[0] ** 3
+    def recording_fd(f, orders, point):
+        return fd(lambda x: asked.append(x) or f(x), orders, point)
 
-    fd_partial(f, (1,), (1.0,))
-    # three levels with steps h, h/2, h/4 over a 9-point stencil reuse
-    # the center and every second point of the finer levels
-    assert len(set(calls)) == len(calls)
-    assert len(calls) < 3 * 9
+    monkeypatch.setattr(verify, "fd_partial", recording_fd)
+    monkeypatch.setattr(verify, "mutual_information", lambda *a: evaluated.append(a[1].snr) or mi(*a))
+    law, quad, memo = verify.two_point_input(), gauss_hermite(16), {}
+    verify.fd_mi_partial(law, verify.DerivativeRequest((1,), (0.8,)), quad, memo)
+    assert sorted(evaluated) == sorted(set(asked))
+    assert len(set(asked)) < len(asked)  # three levels share points
+    first = set(asked)
+    asked.clear()
+    evaluated.clear()
+    verify.fd_mi_partial(law, verify.DerivativeRequest((2,), (0.8,)), quad, memo)
+    assert sorted(evaluated) == sorted(set(asked) - first)
+    assert 0 < len(evaluated) < len(set(asked))
 
 
 def test_fd_zero_weight_offsets_are_skipped():

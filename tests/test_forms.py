@@ -15,6 +15,7 @@ from mideriv.forms import (
     SlotBinding,
     SymbolicExpansion,
     _tau_symbolic,
+    _term_key,
     atoms_moment_oracle,
     gaussian_moment_oracle,
     kappa_eval,
@@ -24,7 +25,7 @@ from mideriv.forms import (
     tau_symbolic,
     univariate_moment_oracle,
 )
-from mideriv.partitions import brute_force_diverse, enumerate_diverse
+from mideriv.partitions import brute_force_diverse, canonical_blocks, enumerate_diverse
 
 HALF = Fraction(1, 2)
 
@@ -106,11 +107,12 @@ def weighted(partitions, n, min_block_size):
     integers over 2**n; partitions with a block below min_block_size are
     dropped.
     """
-    return [
-        (part.blocks, (-1) ** (part.k - 1) * math.factorial(part.k - 2) * 2 ** (n - part.s))
-        for part in partitions
-        if part.min_block_size() >= min_block_size
-    ]
+    kept = []
+    for part in partitions:
+        k = len(part.blocks)
+        if min(map(len, part.blocks)) >= min_block_size:
+            kept.append((part.blocks, (-1) ** (k - 1) * math.factorial(k - 2) * 2 ** (n - part.s)))
+    return kept
 
 
 def collapse(raw, variables):
@@ -174,12 +176,18 @@ def test_programme_matches_oracle_on_random_bindings(variables, mbs):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_programme_output_is_already_canonical(n):
     # _tau_symbolic hands its terms over sorted and merged, skipping the
-    # constructor's canonicalisation; running it again must change nothing
+    # constructor's canonicalisation, so check the canonical form itself:
+    # blocks in canonical order, term keys strictly increasing (no repeated
+    # monomial), and nonzero Fraction coefficients
     try:
         for pattern in multiplicity_patterns(n):
             for mbs in (1, 2):
-                expansion = tau_symbolic(SlotBinding.from_multiplicities(pattern), mbs)
-                assert SymbolicExpansion(expansion.terms) == expansion, (pattern, mbs)
+                terms = tau_symbolic(SlotBinding.from_multiplicities(pattern), mbs).terms
+                keys = [_term_key(mono) for mono, _ in terms]
+                assert all(a < b for a, b in zip(keys, keys[1:])), (pattern, mbs)
+                for mono, coeff in terms:
+                    assert mono == canonical_blocks(mono), (pattern, mbs, mono)
+                    assert type(coeff) is Fraction and coeff != 0, (pattern, mbs, mono)
     finally:
         if n == 7:
             _tau_symbolic.cache_clear()  # the distinct 7-slot form holds 624,889 terms

@@ -41,10 +41,9 @@ def test_round_trip_over_all_small_partitions():
 def test_graphs_are_loop_free_with_one_edge_per_index():
     for part in enumerate_diverse(4):
         graph = partition_to_graph(part)
-        labels = sorted(e[2] for e in graph.edges)
+        labels = [e[2] for e in graph.edges]
         assert labels == [1, 2, 3, 4]
-        assert all(u != v for u, v, _ in graph.edges)
-        assert graph.n == 4
+        assert all(u < v for u, v, _ in graph.edges)
         assert graph.vertex_count == len(part.blocks)
 
 
@@ -78,6 +77,12 @@ def test_multigraph_validation():
         LabeledMultigraph(2, ((0, 2, 1),))  # endpoint out of range
     with pytest.raises(DomainError):
         LabeledMultigraph(2, ((0, 1, 1), (0, 1, 1)))  # label reused
+    with pytest.raises(DomainError):
+        LabeledMultigraph(2, ((1, 0, 1),))  # endpoints swapped
+    with pytest.raises(DomainError):
+        LabeledMultigraph(3, ((0, 1, 2), (1, 2, 1)))  # labels out of order
+    with pytest.raises(DomainError):
+        LabeledMultigraph(2, ((0, 1.0, 1),))  # float endpoint would print as v1.0
 
 
 def test_graph_to_partition_rejects_isolated_vertex():
@@ -88,6 +93,6 @@ def test_graph_to_partition_rejects_isolated_vertex():
 
 def test_partition_to_graph_requires_diverse():
     lumped = Partition(((1, 1), (2, 2)))
-    assert not lumped.is_diverse
-    with pytest.raises(DomainError):
+    assert any(len(set(b)) < len(b) for b in lumped.blocks)
+    with pytest.raises(DomainError, match="loop"):
         partition_to_graph(lumped)

@@ -40,7 +40,6 @@ def test_every_partition_is_a_valid_diverse_cover():
                 for v in block:
                     seen[v] = seen.get(v, 0) + 1
             assert seen == {v: 2 for v in range(1, n + 1)}
-            assert part.is_diverse
             assert part.s == sum(1 for b in set(part.blocks) if part.blocks.count(b) == 2)
 
 
@@ -49,7 +48,7 @@ def test_min_block_size_filters_nestedly():
         all_parts = set(enumerate_diverse(n, 1))
         big_parts = set(enumerate_diverse(n, 2))
         assert big_parts <= all_parts
-        assert all(p.min_block_size() >= 2 for p in big_parts)
+        assert all(len(b) >= 2 for p in big_parts for b in p.blocks)
 
 
 def test_restricted_counts_for_centered_form():
@@ -67,10 +66,9 @@ def test_canonical_form_is_order_insensitive():
 
 def test_partition_properties_on_known_example():
     p = Partition(((1, 2, 3), (1, 2, 3)))
-    assert (p.n, p.k, p.s) == (3, 2, 1)
-    assert p.min_block_size() == 3
+    assert (len(p.blocks), p.s) == (2, 1)
     q = Partition(((1, 2), (1, 3), (2, 3)))
-    assert (q.n, q.k, q.s) == (3, 3, 0)
+    assert (len(q.blocks), q.s) == (3, 0)
 
 
 def test_partition_rejects_bad_coverage():
