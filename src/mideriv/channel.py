@@ -15,7 +15,10 @@ grid over an orthonormal basis of span{v_b - v_0}: r axes, r = rank <=
 min(n, atoms - 1), whatever the channel count.  A full-rank span keeps
 the n coordinate axes; otherwise the axes are the principal axes of the
 atoms turned onto the grid diagonals.  A duplicated signal (r = 1) is
-one channel at the summed snr.
+one channel at the summed snr.  The grid is pruned: it keeps only the
+points whose product weight is at least GRID_WEIGHT_FLOOR = 1e-30 times
+the largest, and the points it drops carry less than 1e-29 of the
+weight.
 
 Every value is one posterior pass, _posterior_pass: per mixture
 component it builds the (A, P) logits of every atom at every grid
@@ -47,11 +50,20 @@ MAX_QUAD_ORDER = 300
 DEFAULT_QUAD_ORDER = 64
 MAX_ATOMS = 64
 MAX_TENSOR_DIM = 3
-# Joint cap on atoms * order**rank: G holds one float per atom and grid
-# point.  2**24 (128 MB for G) still admits 64 atoms on a rank-3 span at
-# the default order 64; 64 atoms on a rank-3 span at order 300 would
-# need a 648 MB grid and a 13.8 GB G.
+# Joint cap on atoms * order**rank, counted on the unpruned grid so the
+# limits do not depend on GRID_WEIGHT_FLOOR: G holds one float per atom
+# and grid point.  2**24 (128 MB for G) still admits 64 atoms on a
+# rank-3 span at the default order 64; 64 atoms on a rank-3 span at
+# order 300 would need a 648 MB grid and a 13.8 GB G.
 MAX_GRID_ATOM_POINTS = 2**24
+# Tensor grids keep only points whose product weight is at least this
+# times the largest (a pruned Gauss-Hermite rule).  On every grid the
+# size guard admits the dropped points carry less than 1e-29 of the
+# weight (8.7e-30 at worst, order 131 on three axes), and on any grid
+# point |llr| <= max(|z|**2 / 2, log 1/p_min), so an mi value moves by
+# at most that bound times the dropped weight: far below float64
+# roundoff of the kept sum.
+GRID_WEIGHT_FLOOR = 1e-30
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -95,19 +107,24 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
     def tensor(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """Tensor grid: (order**dim, dim) points and product weights.
+        """Pruned tensor grid: (P, dim) points and product weights.
 
-        Points run in lexicographic order of the per-axis indices; the
-        grid is cached on the rule.
+        Of the order**dim tensor points only those whose product weight
+        is at least GRID_WEIGHT_FLOOR times the largest are kept, still
+        in lexicographic order of the per-axis indices; the dropped
+        points carry less than 1e-29 of the weight on every grid the
+        size guard admits.  The grid is cached on the rule.
         """
         if not 1 <= dim <= MAX_TENSOR_DIM:
             raise SizeLimitError(f"dim={dim}: tensor grids support 1..{MAX_TENSOR_DIM}")
         if dim not in self._grids:
-            mesh = np.meshgrid(*([self.nodes] * dim), indexing="ij")
-            points = np.stack([m.ravel() for m in mesh], axis=1)
             w = self.weights
             for _ in range(dim - 1):
                 w = (w[:, None] * self.weights[None, :]).ravel()
+            keep = np.flatnonzero(w >= GRID_WEIGHT_FLOOR * w.max())
+            axes = np.unravel_index(keep, (self.order,) * dim)
+            points = np.stack([self.nodes[i] for i in axes], axis=1)
+            w = w[keep]
             points.flags.writeable = False
             w.flags.writeable = False
             self._grids[dim] = (points, w)

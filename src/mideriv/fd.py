@@ -19,6 +19,7 @@ level), so a caller whose f is costly memoises it.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -132,19 +133,22 @@ def fd_partial(
         raise DomainError(f"point {point}: active coordinates must be positive")
     reach = max(stencil_halfwidth(orders[i]) for i in axes)
     step = min(BASE_STEP, 0.9 * low / reach)
-    stencils = {i: central_stencil(orders[i]) for i in axes}
+    # the tensored stencil, built once: per-axis offsets and the float of
+    # each nonzero exact weight product, shared by every level
+    stencil = []
+    for combo in itertools.product(*(zip(*central_stencil(orders[i])) for i in axes)):
+        weight = math.prod(w for _, w in combo)
+        if weight:
+            stencil.append((tuple(offset for offset, _ in combo), float(weight)))
     values = []
     for level in range(RICHARDSON_LEVELS):
         h = step * 0.5**level
         acc = 0.0
-        for combo in itertools.product(*(zip(*stencils[i]) for i in axes)):
+        for offsets, weight in stencil:
             x = list(point)
-            weight = Fraction(1)
-            for i, (offset, w) in zip(axes, combo):
+            for i, offset in zip(axes, offsets):
                 x[i] = x[i] + offset * h
-                weight *= w
-            if weight:
-                acc += float(weight) * f(tuple(x))
+            acc += weight * f(tuple(x))
         values.append(acc / h**total)
 
     tableau = [values]

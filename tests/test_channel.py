@@ -11,6 +11,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from mideriv import closedform
 from mideriv.channel import (
     DEFAULT_QUAD_ORDER,
+    GRID_WEIGHT_FLOOR,
     MAX_ATOMS,
     MAX_GRID_ATOM_POINTS,
     MAX_QUAD_ORDER,
@@ -22,6 +23,7 @@ from mideriv.channel import (
     gauss_hermite,
     mmse,
     mutual_information,
+    _difference_basis,
     _grid_parts,
     _posterior_pass,
 )
@@ -65,6 +67,95 @@ def test_tensor_grid_is_lexicographic_with_product_weights():
     assert abs(W.sum() - 1.0) < 1e-12
     with pytest.raises(SizeLimitError):
         rule.tensor(4)
+
+
+def _unpruned_product_weights(weights, dim):
+    """len(weights)**dim product weights, first axis varying slowest."""
+    mesh = np.meshgrid(*([weights] * dim), indexing="ij")
+    w = mesh[0]
+    for m in mesh[1:]:
+        w = w * m
+    return w.ravel()
+
+
+PRUNED_GRIDS = [
+    (order, dim) for order in (16, 40, 64, 128, 300) for dim in (1, 2, 3) if order**dim <= 2**21
+]
+
+
+@pytest.mark.parametrize("order,dim", PRUNED_GRIDS)
+def test_tensor_grid_keeps_exactly_the_points_above_the_weight_floor(order, dim):
+    rule = gauss_hermite(order)
+    Z, W = rule.tensor(dim)
+    full = _unpruned_product_weights(rule.weights, dim)
+    kept = full >= GRID_WEIGHT_FLOOR * full.max()
+    # recover each point's per-axis indices: the kept set, in lexicographic order
+    index = np.searchsorted(rule.nodes, Z)
+    assert np.array_equal(rule.nodes[index], Z)
+    flat = np.ravel_multi_index(tuple(index.T), (order,) * dim)
+    assert np.array_equal(flat, np.flatnonzero(kept))
+    assert np.array_equal(W, full[kept])
+    if order == MIN_QUAD_ORDER:
+        assert len(W) == order**dim
+    assert full[~kept].sum() <= 1e-28
+    assert abs(W.sum() - 1.0) <= 1e-13
+    for axis in range(dim):
+        assert abs(W @ Z[:, axis] ** 2 - 1.0) <= 1e-12
+
+
+def _unpruned_pass(dist, spec, order, values=None):
+    """The posterior pass on the unpruned tensor rule over the same axes."""
+    nodes, weights = hermegauss(order)
+    logp, D, _, _ = _grid_parts(dist, spec, gauss_hermite(order))
+    v = dist.support * np.sqrt(spec.snr)
+    U = _difference_basis(v, dist.probs)
+    dim = U.shape[1]
+    T = np.stack([m.ravel() for m in np.meshgrid(*([nodes] * dim), indexing="ij")], axis=1)
+    W = _unpruned_product_weights(weights / math.sqrt(2.0 * math.pi), dim)
+    return _posterior_pass(dist.probs, logp, D, ((v - v.mean(axis=0)) @ U) @ T.T, W, values)
+
+
+def test_pruned_grid_values_match_the_unpruned_rule():
+    # the dropped points carry under 1e-29 of the weight, so only the
+    # roundoff of the shorter sum separates the two rules
+    for seed in range(24):
+        rng = random.Random(seed)
+        n = 1 + seed % 3
+        atoms, probs = closedform.random_rational_joint(rng, n)
+        dist = DiscreteJoint([[float(x) for x in a] for a in atoms], [float(p) for p in probs])
+        spec = ChannelSpec([rng.uniform(0.1, 2.0) for _ in range(n)])
+        # keep the unpruned rank-3 grid at order 64 (262,144 points)
+        order = (16, 64, 128)[seed // 3 % 3]
+        if n == 3 and len(atoms) > 3:
+            order = min(order, 64)
+        quad = gauss_hermite(order)
+        S = dist.support
+        col = S[:, 0]
+
+        def spread(w):
+            return (col * col) @ w - (col @ w) ** 2
+
+        def tau2(i, j):
+            def form(w):
+                mu = S.T @ w
+                cov = ((S[:, i - 1][:, None] - mu[i - 1]) * (S[:, j - 1][:, None] - mu[j - 1]) * w).sum(axis=0)
+                return -0.5 * cov * cov
+
+            return form
+
+        checks = [
+            (mutual_information(dist, spec, quad), _unpruned_pass(dist, spec, order)),
+            (mmse(dist, spec, channel=1, quad=quad), _unpruned_pass(dist, spec, order, spread)),
+        ]
+        for i, j in ((1, 1), (1, 2))[:n]:
+            checks.append(
+                (
+                    expected_conditional_tau(dist, spec, SlotBinding((i, j)), quad=quad),
+                    _unpruned_pass(dist, spec, order, tau2(i, j)),
+                )
+            )
+        for value, reference in checks:
+            assert abs(value - reference) <= 4e-15 * abs(reference) + 1e-18
 
 
 def test_joint_validation_names_fields():

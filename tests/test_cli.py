@@ -3,9 +3,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mideriv
 from mideriv import closedform
 from mideriv.cli import main
 from mideriv.partitions import enumerate_diverse
@@ -274,6 +279,20 @@ def test_verify_lemma2_suite_passes(capsys):
     assert code == 0
     assert json.loads(out)["passed"] is True
     assert "3/3 cases passed" in err
+
+
+def test_python_dash_m_runs_the_command():
+    # the checkout's package, as imported here, run as ``python -m mideriv``
+    env = dict(os.environ, PYTHONPATH=str(Path(mideriv.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "mideriv", "verify", "--suite", "lemma2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["passed"] is True
 
 
 def test_verify_csv_format(capsys):

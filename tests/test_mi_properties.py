@@ -1,14 +1,14 @@
 """Property tests of mutual information on small laws.
 
 Laws have up to 2 channels and up to 4 atoms on the half-integer
-coordinates of [-1, 1], with snr in [0.05, 1.5], on the order-64 rule;
-the duplicated-signal laws have 2 to 6 atoms on those of [-2, 2], fed to
+coordinates of [-1, 1], with snr in [0.05, 1.5], on the order-64 rule
+(the snr-derivative on the order-128 rule); the duplicated-signal laws have 2 to 6 atoms on those of [-2, 2], fed to
 2 or 3 channels at snr in [0.05, 1] each.  Each property states its
 allowance next to the check.
 """
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -24,15 +24,19 @@ from mideriv.channel import (
 )
 
 QUAD = gauss_hermite(64)
+FD_QUAD = gauss_hermite(128)
 # float64 roundoff of an mi value of order 1 summed over a few thousand
 # grid points
 ROUNDOFF = 1e-12
 # central difference step in snr; its truncation error (h**2 / 6 times
 # the third snr-derivative) stays near 1e-10 on these laws
 STEP = 1e-4
-# the order-64 mmse is off by up to about 1.4e-8 on these laws (against
-# order 300), which dominates the difference between the two sides; the
-# truncation error and the roundoff / STEP (about 1e-12) add far less
+# both sides run on the order-128 rule.  Its mmse / 2 is off by up to
+# about 2.1e-10 on these laws (against order 300), and the two sides
+# differ by at most 4.7e-10 over 400 random laws, 2.2e-10 on the
+# two-atom law of the example; the truncation error and the
+# roundoff / STEP (about 1e-12) are of that size or less.  The order-64
+# mmse is 1.8e-7 off on that law, more than this allowance.
 FD_ALLOWANCE = 1e-7
 # a duplicated signal and its one-channel law differ only in the rounding
 # of the summed snr, the distances and the grid axis: 6.5e-15 relative at
@@ -76,14 +80,17 @@ def test_mi_never_decreases_in_any_snr(law, step):
 
 @settings(max_examples=40, deadline=None)
 @given(small_laws())
+@example(law=(DiscreteJoint([[1, -1], [-1, 1]], [0.5, 0.5]), [1.0, 1.0]))
 def test_mi_snr_derivative_is_half_mmse(law):
     dist, snr = law
     for i in range(len(snr)):
         up, down = list(snr), list(snr)
         up[i] += STEP
         down[i] -= STEP
-        slope = (_mi(dist, up) - _mi(dist, down)) / (2 * STEP)
-        half_mmse = mmse(dist, ChannelSpec(snr), channel=i + 1, quad=QUAD) / 2
+        mi_up = mutual_information(dist, ChannelSpec(up), FD_QUAD)
+        mi_down = mutual_information(dist, ChannelSpec(down), FD_QUAD)
+        slope = (mi_up - mi_down) / (2 * STEP)
+        half_mmse = mmse(dist, ChannelSpec(snr), channel=i + 1, quad=FD_QUAD) / 2
         assert abs(slope - half_mmse) <= FD_ALLOWANCE
 
 

@@ -1,8 +1,9 @@
 """Projected quadrature against the full tensor grid.
 
-The oracle rebuilds the pass arguments from the support on the full
-n-axis tensor grid of the rule, with no projection, and runs them
-through the same posterior pass.  Rank-deficient laws must agree with
+The oracle rebuilds the pass arguments from the support on the rule's
+n-axis tensor grid (`_full_tensor`), with no projection, and runs them
+through the same posterior pass; that grid is pruned to the points
+above the weight floor like every grid of the rule.  Rank-deficient laws must agree with
 it at converged orders; full-rank laws, which keep the coordinate axes,
 must agree bit for bit.  Symmetric laws, whose principal axes tie, check that
 the projected grid does not turn with the order of atoms or channels.
