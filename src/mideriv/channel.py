@@ -40,6 +40,7 @@ from .errors import (
     QuadratureUnderflowError,
     SizeLimitError,
     ValidationError,
+    integer,
 )
 from .forms import MomentOracle, SlotBinding, tau_symbolic
 
@@ -182,26 +183,20 @@ class DiscreteJoint:
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probs: sum {total!r} is not 1 within 1e-12")
-        merged: dict[bytes, int] = {}
-        rows: list[np.ndarray] = []
-        masses: list[float] = []
-        # + 0.0 turns -0.0 into 0.0, so the byte keys merge signed zeros
-        for row, p in zip(support + 0.0, probs):
-            if p == 0.0:
-                continue
-            key = row.tobytes()
-            if key in merged:
-                masses[merged[key]] += p
-            else:
-                merged[key] = len(rows)
-                rows.append(row)
-                masses.append(float(p))
-        if not rows:
+        keep = probs != 0.0
+        if not keep.any():
             raise ValidationError("probs: all atoms have zero mass")
-        if len(rows) > MAX_ATOMS:
-            raise ValidationError(f"support: {len(rows)} atoms exceed the limit of {MAX_ATOMS}")
-        support = np.array(rows)
-        probs = np.array(masses)
+        # + 0.0 turns -0.0 into 0.0, so signed zeros merge; merged points
+        # keep the order of their first occurrence and add their masses
+        # in input order
+        rows, first, inverse = np.unique(
+            support[keep] + 0.0, axis=0, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        if len(order) > MAX_ATOMS:
+            raise ValidationError(f"support: {len(order)} atoms exceed the limit of {MAX_ATOMS}")
+        support = rows[order]
+        probs = np.bincount(inverse, weights=probs[keep])[order]
         support.flags.writeable = False
         probs.flags.writeable = False
         object.__setattr__(self, "support", support)
@@ -227,9 +222,7 @@ class DiscreteJoint:
         for key in ("n", "support", "probs"):
             if key not in data:
                 raise ValidationError(f"{key}: missing")
-        declared = data["n"]
-        if not isinstance(declared, int) or isinstance(declared, bool):
-            raise ValidationError(f"n: expected an integer, got {declared!r}")
+        declared = integer(data["n"], ValidationError, "n")
         try:
             support = np.asarray(data["support"], dtype=float)
         except (TypeError, ValueError) as exc:

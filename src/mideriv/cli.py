@@ -41,29 +41,14 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _parse_snr(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, name: str, kind: type) -> tuple:
     parts = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not parts:
-        raise ValidationError(f"snr: {text!r} holds no values")
+        raise ValidationError(f"{name}: {text!r} holds no values")
     try:
-        return tuple(float(piece) for piece in parts)
+        return tuple(kind(piece) for piece in parts)
     except ValueError:
-        raise ValidationError(f"snr: {text!r} is not a comma-separated float list") from None
-
-
-def _parse_multiplicities(text: str) -> tuple[int, ...]:
-    parts = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not parts:
-        raise ValidationError(f"multiplicities: {text!r} holds no values")
-    try:
-        values = tuple(int(piece) for piece in parts)
-    except ValueError:
-        raise ValidationError(f"multiplicities: {text!r} is not a comma-separated int list") from None
-    if any(v < 0 for v in values):
-        raise ValidationError(f"multiplicities: {values} has a negative entry")
-    if sum(values) == 0:
-        raise ValidationError(f"multiplicities: {values} has no positive entry")
-    return values
+        raise ValidationError(f"{name}: {text!r} is not a comma-separated {kind.__name__} list") from None
 
 
 def _load_dist(path: str) -> DiscreteJoint:
@@ -108,7 +93,11 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 
 
 def cmd_tau(args: argparse.Namespace) -> int:
-    multiplicities = _parse_multiplicities(args.multiplicities)
+    multiplicities = _parse_list(args.multiplicities, "multiplicities", int)
+    if any(v < 0 for v in multiplicities):
+        raise ValidationError(f"multiplicities: {multiplicities} has a negative entry")
+    if sum(multiplicities) == 0:
+        raise ValidationError(f"multiplicities: {multiplicities} has no positive entry")
     if args.symbolic:
         binding = SlotBinding.from_multiplicities(multiplicities)
         expansion = tau_symbolic(binding, min_block_size=2 if args.bar else 1)
@@ -130,7 +119,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
     if not args.dist or args.snr is None:
         raise ValidationError("dist: numeric mode needs --dist FILE and --snr (or pass --symbolic)")
     dist = _load_dist(args.dist)
-    snr = _parse_snr(args.snr)
+    snr = _parse_list(args.snr, "snr", float)
     spec = ChannelSpec(snr)
     quad = gauss_hermite(args.quad_order)
     value = partition_formula(dist, spec, multiplicities, quad)
@@ -160,7 +149,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
 
 def cmd_mi(args: argparse.Namespace) -> int:
     dist = _load_dist(args.dist)
-    snr = _parse_snr(args.snr)
+    snr = _parse_list(args.snr, "snr", float)
     spec = ChannelSpec(snr)
     value = mutual_information(dist, spec, gauss_hermite(args.quad_order))
     if args.format == "json":

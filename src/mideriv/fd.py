@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 # Per-axis truncation order of the base stencils; Richardson columns
 # then cancel h**8, h**10, ... terms (central stencils gain powers of 2).
@@ -118,7 +118,7 @@ def fd_partial(
 
     Raises DomainError when an active coordinate is not positive.
     """
-    orders = tuple(int(k) for k in orders)
+    orders = tuple(integer(k, DomainError, "orders") for k in orders)
     point = tuple(float(x) for x in point)
     if len(orders) != len(point):
         raise DomainError(f"orders {orders} and point {point} differ in length")

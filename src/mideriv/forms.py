@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .errors import DomainError, SizeLimitError, ValidationError
+from .errors import DomainError, SizeLimitError, ValidationError, integer
 from .partitions import ENUMERATION_LIMIT, canonical_blocks, set_partitions
 
 Block = tuple[int, ...]
@@ -52,7 +52,7 @@ class SlotBinding:
     variables: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vs = tuple(int(v) for v in self.variables)
+        vs = tuple(integer(v, ValidationError, "variables") for v in self.variables)
         if not vs:
             raise ValidationError("variables: a binding needs at least one slot")
         if any(v < 1 for v in vs):
@@ -72,9 +72,10 @@ class SlotBinding:
         """
         vs: list[int] = []
         for var, count in enumerate(multiplicities, start=1):
-            if int(count) < 0:
+            count = integer(count, ValidationError, "multiplicities")
+            if count < 0:
                 raise ValidationError(f"multiplicities: negative count for variable {var}")
-            vs.extend([var] * int(count))
+            vs.extend([var] * count)
         return cls(tuple(vs))
 
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import SizeLimitError, ValidationError
+from .errors import SizeLimitError, ValidationError, integer
 
 # Enumeration guards.  The recursive enumeration is exact but the count
 # grows fast (1, 3, 16, 139, 1750, ...); the brute-force oracle walks all
@@ -48,8 +48,10 @@ class Partition:
 
     def __post_init__(self) -> None:
         try:
-            blocks = canonical_blocks(tuple(int(x) for x in b) for b in self.blocks)
-        except (TypeError, ValueError) as exc:
+            blocks = canonical_blocks(
+                tuple(integer(x, ValidationError, "blocks") for x in b) for b in self.blocks
+            )
+        except TypeError as exc:
             raise ValidationError(f"blocks: not a list of integer blocks ({exc})") from exc
         object.__setattr__(self, "blocks", blocks)
         self._check_coverage()

@@ -30,7 +30,7 @@ from .channel import (
     mmse,
     mutual_information,
 )
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, integer
 from .fd import BASE_STEP, RICHARDSON_LEVELS, fd_partial
 from .forms import (
     SlotBinding,
@@ -67,7 +67,7 @@ class DerivativeRequest:
     point: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        orders = tuple(int(k) for k in self.orders)
+        orders = tuple(integer(k, DomainError, "orders") for k in self.orders)
         point = tuple(float(x) for x in self.point)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "point", point)

@@ -295,6 +295,24 @@ def test_python_dash_m_runs_the_command():
     assert json.loads(done.stdout)["passed"] is True
 
 
+def test_package_imports_no_scipy():
+    # a fresh interpreter, so modules loaded by the test session do not count
+    env = dict(os.environ, PYTHONPATH=str(Path(mideriv.__file__).parents[1]))
+    code = (
+        "import sys\n"
+        "import mideriv.cli\n"
+        "from mideriv import closedform\n"
+        "closedform.two_point_mi(1.0)\n"
+        "closedform.two_point_mmse(1.0)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "cumulants", "--format", "csv")
     assert code == 0

@@ -1,14 +1,20 @@
 """Two-point closed forms and seeded rational generators."""
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mideriv import closedform
 from mideriv.errors import DomainError
+
+DATA = Path(__file__).parent / "data"
+# relative bound against 40-digit mpmath values, fixed before measuring
+CLOSED_FORM_BOUND = 4e-15
 
 
 def test_two_point_mi_endpoints_and_value():
@@ -21,6 +27,18 @@ def test_two_point_mi_endpoints_and_value():
 def test_two_point_mmse_endpoints():
     assert abs(closedform.two_point_mmse(0.0) - 1.0) < 1e-12
     assert closedform.two_point_mmse(5.0) < 0.1
+
+
+def test_two_point_oracles_match_forty_digit_values():
+    refs = json.loads((DATA / "two_point_closed_forms.json").read_text(encoding="utf-8"))
+    for snr in refs["snr"]:
+        for name, fn in (("mi", closedform.two_point_mi), ("mmse", closedform.two_point_mmse)):
+            ref = float(refs[name][snr])
+            assert abs(fn(float(snr)) - ref) <= CLOSED_FORM_BOUND * abs(ref), (name, snr)
+    # I-MMSE: dI/dsnr = mmse / 2, against the stored order-1 derivative
+    order1 = json.loads((DATA / "two_point_references.json").read_text(encoding="utf-8"))
+    ref = float(order1["derivatives"]["1"])
+    assert abs(closedform.two_point_mmse(order1["snr"]) / 2 - ref) <= CLOSED_FORM_BOUND * abs(ref)
 
 
 def test_two_point_posterior_mean_is_tanh():

@@ -89,6 +89,9 @@ def test_fd_validation_and_domain_guard():
         fd_partial(f, (0,), (0.5,))
     with pytest.raises(DomainError, match="positive"):
         fd_partial(f, (1,), (0.0,))
+    for bad in (1.5, "1", True):  # 1.5 used to give the first derivative
+        with pytest.raises(DomainError, match="orders"):
+            fd_partial(f, (bad,), (0.5,))
 
 
 def test_fd_mi_partial_evaluates_each_point_once(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +99,15 @@ def test_slot_binding_from_multiplicities():
         SlotBinding.from_multiplicities((0, 0))
     with pytest.raises(SizeLimitError):
         tau_symbolic(SlotBinding.from_multiplicities((5, 4)))
+    # integers are checked, never truncated or parsed; numpy integers pass
+    assert SlotBinding.from_multiplicities((np.int64(1), 2)).variables == (1, 2, 2)
+    assert SlotBinding((np.int32(2), 1)).variables == (2, 1)
+    for bad in (1.5, "2", True):
+        with pytest.raises(ValidationError, match="multiplicities"):
+            SlotBinding.from_multiplicities((bad, 2))
+    for bad in (1.7, "2", True):
+        with pytest.raises(ValidationError, match="variables"):
+            SlotBinding((bad, 2))
 
 
 def weighted(partitions, n, min_block_size):

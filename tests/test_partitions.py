@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from mideriv.errors import SizeLimitError, ValidationError
@@ -78,6 +79,14 @@ def test_partition_rejects_bad_coverage():
         Partition(((1, 2), (2, 3), (3, 4), (4, 5)))  # ids 1 and 5 once
     with pytest.raises(ValidationError):
         Partition(())
+
+
+def test_partition_rejects_non_integer_indices():
+    # 1.2 used to truncate to 1 and pass as {1,2}{1,2}
+    for bad in (1.2, "1", True):
+        with pytest.raises(ValidationError, match="blocks"):
+            Partition([[bad, 2], [1, 2]])
+    assert Partition([[np.int64(1), 2], [1, 2]]).blocks == ((1, 2), (1, 2))
 
 
 def test_partition_json_round_trip():

@@ -7,6 +7,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mideriv import ChannelSpec, DiscreteJoint, closedform, gauss_hermite, verify
@@ -39,6 +40,10 @@ def test_request_validation():
         DerivativeRequest((1,), (0.0,))  # active axis at 0
     with pytest.raises(DomainError):
         DerivativeRequest((1, 0), (0.5,))
+    for bad in (1.9, "1", True):  # checked, never truncated or parsed
+        with pytest.raises(DomainError, match="orders"):
+            DerivativeRequest((bad,), (0.8,))
+    assert DerivativeRequest((np.int64(2),), (0.8,)).orders == (2,)
 
 
 def test_tolerance_schedule_is_pinned():
