@@ -12,7 +12,8 @@ Layout:
   graphs      loop-free multigraph duals and DOT export
   forms       exact symbolic expansions, moment oracles, cumulants
   channel     quadrature and the one posterior pass behind mutual
-              information, mmse and conditional forms
+              information (one snr row or a batch), mmse and
+              conditional forms
   fd          exact-weight finite differences with Richardson control
   closedform  two-point closed forms and seeded rational generators
   verify      comparison suites and deterministic reports
@@ -26,6 +27,7 @@ from .channel import (
     gauss_hermite,
     mmse,
     mutual_information,
+    mutual_information_many,
 )
 from .errors import DomainError, QuadratureUnderflowError, SizeLimitError, ValidationError
 from .fd import fd_partial, fornberg_weights, stencil_halfwidth
@@ -69,6 +71,7 @@ __all__ = [
     "gauss_hermite",
     "mmse",
     "mutual_information",
+    "mutual_information_many",
     "DomainError",
     "QuadratureUnderflowError",
     "SizeLimitError",

@@ -25,6 +25,13 @@ component it builds the (A, P) logits of every atom at every grid
 point, max-subtracts and exponentiates them once, and averages either
 the log-likelihood ratio (mutual information) or a function of the
 normalised posterior weights (mmse, conditional tau).
+
+The pass runs on stacks of signal sets, one set per snr row of one law.
+mutual_information_many takes many rows at once: their grid axes come
+from batched SVDs, rows of one rank share a grid, and each stack of at
+most MAX_STACK_ELEMENTS floats per array goes through the pass together.
+Every row's value has the bits of its one-row call, which is what
+mutual_information, mmse and expected_conditional_tau make.
 """
 from __future__ import annotations
 
@@ -57,6 +64,10 @@ MAX_TENSOR_DIM = 3
 # rank-3 span at the default order 64; 64 atoms on a rank-3 span at
 # order 300 would need a 648 MB grid and a 13.8 GB G.
 MAX_GRID_ATOM_POINTS = 2**24
+# A batch of snr rows goes through the posterior pass in stacks of at
+# most this many floats per (S, A, P) grid array and (S, A, A, n)
+# distance array; a row over the cap is a stack of its own.
+MAX_STACK_ELEMENTS = 2**15
 # Tensor grids keep only points whose product weight is at least this
 # times the largest (a pruned Gauss-Hermite rule).  On every grid the
 # size guard admits the dropped points carry less than 1e-29 of the
@@ -271,6 +282,8 @@ _DIAGONALS = {
     2: np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
     3: np.array([[-1.0, 2.0, 2.0], [2.0, -1.0, 2.0], [2.0, 2.0, -1.0]]) / 3.0,
 }
+# Every sign pattern of r grid axes, in itertools.product order.
+_SIGN_PATTERNS = {r: np.array(list(itertools.product((1.0, -1.0), repeat=r))) for r in _DIAGONALS}
 # Principal axes whose singular values are closer than this (relative to
 # the largest) are the SVD's arbitrary choice, so they are set from the
 # atoms instead.
@@ -300,67 +313,92 @@ def _atom_frame(Y: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def _orientation(Y: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Axis signs (r,) for atom coordinates Y (A, r).
+    """Axis signs (S, r) for stacked atom coordinates Y (S, A, r).
 
-    Picks the sign pattern under which the atoms' (coordinates, mass)
-    rows sort last; patterns that tie map the law onto itself.
+    Per set, picks the sign pattern under which the atoms' (coordinates,
+    mass) rows sort last, the first such pattern in
+    itertools.product((1, -1), ...) order; patterns that tie map the law
+    onto itself.
     """
-    Y = np.round(Y / np.abs(Y).max(), 10)
-    best_key, best = None, None
-    for signs in itertools.product((1.0, -1.0), repeat=Y.shape[1]):
-        key = sorted(zip(map(tuple, Y * signs), probs))
-        if best_key is None or key > best_key:
-            best_key, best = key, np.array(signs)
-    return best
+    S, A, r = Y.shape
+    Y = np.round(Y / np.abs(Y).max(axis=(1, 2), keepdims=True), 10)
+    signs = _SIGN_PATTERNS[r]
+    K = len(signs)
+    # (S, K, A, r + 1): each atom's (coordinates, mass) row under every
+    # pattern; lexsort takes its last key as the first, so the columns go
+    # in reversed
+    rows = np.concatenate(
+        [Y[:, None] * signs[:, None, :], np.broadcast_to(probs[:, None], (S, K, A, 1))], axis=3
+    )
+    order = np.lexsort(rows[..., ::-1].transpose(3, 0, 1, 2), axis=-1)
+    # (S, K, A * (r + 1)): each pattern's rows in ascending order, flattened
+    keys = np.take_along_axis(rows, order[..., None], axis=2).reshape(S, K, -1)
+    # sorted last on the keys, then on -k so the first of a tie wins
+    first = np.broadcast_to(-np.arange(K), (S, K))
+    best = np.lexsort(np.concatenate([first[None], keys[..., ::-1].transpose(2, 0, 1)]), axis=-1)[:, -1]
+    return signs[best]
 
 
-def _difference_basis(v: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Orthonormal (n, r) grid axes spanning span{v_b - v_0}, r its rank.
+def _difference_basis(v: np.ndarray, probs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Grid axes of a stack v (S, A, n) of signal sets, grouped by rank.
 
-    The rank and the span come from the SVD of v[1:] - v[0], at the
-    default tolerance of np.linalg.matrix_rank; a rank above
-    MAX_TENSOR_DIM raises SizeLimitError.  Rank n keeps the coordinate
-    axes, and rank 0 (one atom, or zero snr) gets one null axis, on
-    which every logit is flat.  Otherwise the axes are the principal
-    axes of the centered atoms, with ties settled by _atom_frame and
-    signs by _orientation, turned by _DIAGONALS.  They depend on the law, not on
-    the order of its atoms or channels, so permuting either leaves every
-    projected value unchanged.
+    Returns [(rows, U)], one entry per rank r present in ascending order:
+    the indices of the sets of that rank and their orthonormal axes U
+    (len(rows), n, max(r, 1)) spanning span{v_b - v_0}.  The rank and
+    the span come from the SVD of v[1:] - v[0], at the default tolerance
+    of np.linalg.matrix_rank; a rank above MAX_TENSOR_DIM raises
+    SizeLimitError.  Rank n keeps the coordinate axes, and rank 0 (one
+    atom, or zero snr) gets one null axis, on which every logit is flat.
+    Otherwise the axes are the principal axes of the centered atoms, with
+    ties settled by _atom_frame and signs by _orientation, turned by
+    _DIAGONALS.  They depend on the law, not on the order of its atoms
+    or channels, so permuting either leaves every projected value
+    unchanged.  Every set gets the axes it would get alone.
     """
-    n = v.shape[1]
-    rank = 0
-    if v.shape[0] > 1:
-        diff = v[1:] - v[0]
+    S, A, n = v.shape
+    ranks = np.zeros(S, dtype=int)
+    if A > 1:
+        diff = v[:, 1:] - v[:, :1]
         _, s, vt = np.linalg.svd(diff, full_matrices=False)
-        rank = int((s > s.max() * max(diff.shape) * np.finfo(float).eps).sum())
-    if rank > MAX_TENSOR_DIM:
+        ranks = (s > s.max(axis=1, keepdims=True) * max(A - 1, n) * np.finfo(float).eps).sum(axis=1)
+    over = np.flatnonzero(ranks > MAX_TENSOR_DIM)
+    if len(over):
         raise SizeLimitError(
-            f"support differences span {rank} dimensions: "
+            f"support differences span {ranks[over[0]]} dimensions: "
             f"quadrature paths support rank 0..{MAX_TENSOR_DIM}"
         )
-    if rank == 0:
-        return np.zeros((n, 1))
-    if rank == n:
-        return np.eye(n)
-    span = vt[:rank].T
-    Y = (v - v.mean(axis=0)) @ span
-    _, s, rt = np.linalg.svd(Y, full_matrices=False)
-    R = rt.T
-    start = 0
-    for end in range(1, rank + 1):
-        if end == rank or s[end - 1] - s[end] > _TIED_AXES * s[0]:
-            if end - start > 1:
-                R[:, start:end] = R[:, start:end] @ _atom_frame(Y @ R[:, start:end], probs)
-            start = end
-    R *= _orientation(Y @ R, probs)
-    return span @ R @ _DIAGONALS[rank]
+    groups = []
+    for rank in np.unique(ranks).tolist():
+        rows = np.flatnonzero(ranks == rank)
+        if rank == 0:
+            U = np.zeros((len(rows), n, 1))
+        elif rank == n:
+            U = np.broadcast_to(np.eye(n), (len(rows), n, n))
+        else:
+            span = vt[rows, :rank].transpose(0, 2, 1)
+            w = v[rows]
+            Y = (w - w.mean(axis=1, keepdims=True)) @ span
+            _, s, rt = np.linalg.svd(Y, full_matrices=False)
+            R = rt.transpose(0, 2, 1)
+            tied = ~(s[:, :-1] - s[:, 1:] > _TIED_AXES * s[:, :1])
+            for i in np.flatnonzero(tied.any(axis=1)):
+                Ri, start = R[i], 0
+                for end in range(1, rank + 1):
+                    if end == rank or not tied[i, end - 1]:
+                        if end - start > 1:
+                            Ri[:, start:end] = Ri[:, start:end] @ _atom_frame(Y[i] @ Ri[:, start:end], probs)
+                        start = end
+            R *= _orientation(Y @ R, probs)[:, None, :]
+            U = span @ R @ _DIAGONALS[rank]
+        groups.append((rows, U))
+    return groups
 
 
-def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule | None):
-    """Arguments of _posterior_pass on the projected grid: logp, D, G, W.
+def _grid_parts(dist: DiscreteJoint, snrs, quad: QuadratureRule | None):
+    """Stacks of _posterior_pass arguments: (rows, logp, D, G, W) each.
 
-    The one input check of the posterior pass: spec must have one snr
-    per coordinate of dist, and quad None means
+    The one input check of the posterior pass: every snr row must have
+    one entry per coordinate of dist, and quad None means
     gauss_hermite(DEFAULT_QUAD_ORDER); a rule below MIN_QUAD_ORDER, or a
     mismatch, raises DomainError before anything is built.
 
@@ -369,77 +407,115 @@ def _grid_parts(dist: DiscreteJoint, spec: ChannelSpec, quad: QuadratureRule | N
     the grid axes U of the difference span, z_perp drops out of every
     difference, so G = ((v - mean v) @ U) @ T.T on the tensor grid T with
     one axis per column of U; the mean cancels in G[b] - G[a], and taking
-    it out keeps atoms far from 0 from rounding away their spread.  More
-    than MAX_GRID_ATOM_POINTS atoms times grid points raise SizeLimitError
-    before any grid is built.
+    it out keeps atoms far from 0 from rounding away their spread.  A
+    rank above MAX_TENSOR_DIM, or more than MAX_GRID_ATOM_POINTS atoms
+    times grid points at any row, raises SizeLimitError before any grid
+    or stack is built.
+
+    Rows of one rank share a grid; they go out in stacks (S, A, A) of D
+    and (S, A, P) of G, S as large as MAX_STACK_ELEMENTS allows, and
+    rows[i] is the snr row of stack entry i.
     """
-    if dist.n != spec.n:
-        raise DomainError(
-            f"snr has {spec.n} channels but the distribution has {dist.n} coordinates"
-        )
+    for snr in snrs:
+        if len(snr) != dist.n:
+            raise DomainError(
+                f"snr has {len(snr)} channels but the distribution has {dist.n} coordinates"
+            )
     if quad is None:
         quad = gauss_hermite(DEFAULT_QUAD_ORDER)
     elif quad.order < MIN_QUAD_ORDER:
         raise DomainError(f"quadrature order {quad.order} is below the minimum {MIN_QUAD_ORDER}")
-    v = dist.support * np.sqrt(spec.snr)
-    # D reaches +inf only for atoms more than about 1e154 apart, and +inf
-    # is then the exact limit: such atoms have posterior weight 0
-    with np.errstate(over="ignore"):
-        D = 0.5 * ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
-    U = _difference_basis(v, dist.probs)
-    axes = U.shape[1]
-    size = dist.atom_count * quad.order**axes
-    if size > MAX_GRID_ATOM_POINTS:
-        raise SizeLimitError(
-            f"{dist.atom_count} atoms on a rank-{axes} order-{quad.order} grid make "
-            f"{size} atom-points: the limit is {MAX_GRID_ATOM_POINTS}"
-        )
-    T, W = quad.tensor(axes)
-    return np.log(dist.probs), D, ((v - v.mean(axis=0)) @ U) @ T.T, W
+    A, n = dist.support.shape
+    v = dist.support * np.sqrt(np.array(snrs, dtype=float).reshape(-1, n))[:, None, :]
+    groups = _difference_basis(v, dist.probs)
+    for _, U in groups:
+        axes = U.shape[2]
+        size = A * quad.order**axes
+        if size > MAX_GRID_ATOM_POINTS:
+            raise SizeLimitError(
+                f"{A} atoms on a rank-{axes} order-{quad.order} grid make "
+                f"{size} atom-points: the limit is {MAX_GRID_ATOM_POINTS}"
+            )
+    logp = np.log(dist.probs)
+    for rows, U in groups:
+        T, W = quad.tensor(U.shape[2])
+        step = max(1, MAX_STACK_ELEMENTS // (A * max(len(W), A * n)))
+        for lo in range(0, len(rows), step):
+            x = v[rows[lo : lo + step]]
+            # D reaches +inf only for atoms more than about 1e154 apart,
+            # and +inf is then the exact limit: such atoms have posterior
+            # weight 0
+            with np.errstate(over="ignore"):
+                D = 0.5 * ((x[:, :, None, :] - x[:, None, :, :]) ** 2).sum(axis=3)
+            G = ((x - x.mean(axis=1, keepdims=True)) @ U[lo : lo + step]) @ T.T
+            yield rows[lo : lo + step], logp, D, G, W
 
 
-def _posterior_pass(probs, logp, D, G, W, values=None) -> float:
-    """Mixture average over the grid of one (P,) array per component.
+def _posterior_pass(probs, logp, D, G, W, values=None) -> np.ndarray:
+    """Mixture averages over the grid of one (P,) array per component.
 
-    Layout, for A atoms on a P-point grid: probs and logp (A,) are the
-    atom masses and their logs, D (A, A) the half squared distances
-    |v_a - v_b|**2 / 2 between signals, G (A, P) the atom-grid terms
-    v_b . z less any shift shared by all b, W (P,) the product weights.
-    At grid point g of component a, where y = v_a + z, atom b has the
-    log posterior weight logp[b] - D[a, b] + (G[b, g] - G[a, g]), up to
-    normalisation: only differences of signals enter, so no term grows
-    like |v|**2.
+    Layout, for S stacked signal sets of A atoms on a P-point grid: probs
+    and logp (A,) are the atom masses and their logs, D (S, A, A) the half
+    squared distances |v_a - v_b|**2 / 2 between signals, G (S, A, P) the
+    atom-grid terms v_b . z less any shift shared by all b, W (P,) the
+    product weights.  At grid point g of component a, where y = v_a + z,
+    atom b has the log posterior weight logp[b] - D[a, b] + (G[b, g] -
+    G[a, g]), up to normalisation: only differences of signals enter, so
+    no term grows like |v|**2.
     G[b] - G[a] is formed before logp and D are added, so a large signal
     does not round away the log masses.  The logits are max-subtracted
     before exp, so every column sums to at least 1.
 
     With values None the array is the log-likelihood ratio
     log p(y|x_a) - log p(y) = -log sum_b exp(logit_b); otherwise it is
-    values(w) for the (A, P) normalised posterior weights w.  Components
-    are accumulated in atom order, so results are bit-stable run to run.
+    values(w) for each set's (A, P) normalised posterior weights w.
+    Components are accumulated in atom order and each set's array is
+    reduced by its own W @ term dot, so every set's average has the bits
+    it has in a stack of one, run to run.
 
-    Raises QuadratureUnderflowError when the average is not finite.
+    Returns the (S,) averages; raises QuadratureUnderflowError when one
+    is not finite.
     """
-    total = 0.0
+    totals = [0.0] * G.shape[0]
     for a in range(probs.shape[0]):
-        e = G - G[a]
-        e += (logp - D[a])[:, None]
-        mx = e.max(axis=0)
-        e -= mx
+        e = G - G[:, a, None]
+        e += (logp - D[:, a])[:, :, None]
+        mx = e.max(axis=1)
+        e -= mx[:, None]
         np.exp(e, out=e)
-        s = e.sum(axis=0)
+        s = e.sum(axis=1)
         if values is None:
-            term = -(mx + np.log(s))
+            terms = -(mx + np.log(s))
         else:
-            e /= s
-            term = values(e)
-        total += probs[a] * float(W @ term)
-    total = float(total)
-    if not math.isfinite(total):
-        raise QuadratureUnderflowError(
-            f"posterior average is {total!r}: the support or snr overflows float64"
-        )
-    return total
+            e /= s[:, None]
+            terms = map(values, e)
+        for i, term in enumerate(terms):
+            totals[i] += probs[a] * float(W @ term)
+    for total in totals:
+        if not math.isfinite(total):
+            raise QuadratureUnderflowError(
+                f"posterior average is {float(total)!r}: the support or snr overflows float64"
+            )
+    return np.array(totals, dtype=float)
+
+
+def _posterior_average(dist: DiscreteJoint, snrs, quad: QuadratureRule | None, values=None) -> np.ndarray:
+    """The posterior pass at every snr row, stack by stack: (len(snrs),)."""
+    out = np.empty(len(snrs))
+    for rows, *parts in _grid_parts(dist, snrs, quad):
+        out[rows] = _posterior_pass(dist.probs, *parts, values)
+    return out
+
+
+def mutual_information_many(dist: DiscreteJoint, snrs, quad: QuadratureRule | None = None) -> np.ndarray:
+    """I(X; Y) in nats at each row of snrs, one value per row.
+
+    Each row is a per-channel snr vector, checked as ChannelSpec checks
+    it.  Rows of one grid rank are evaluated together in stacks, and
+    every value has the bits that mutual_information gives for its row
+    alone.  Raises what mutual_information raises for any one row.
+    """
+    return _posterior_average(dist, [ChannelSpec(snr).snr for snr in snrs], quad)
 
 
 def mutual_information(
@@ -450,14 +526,15 @@ def mutual_information(
     Averages log p(Y|x) - log p(Y) over the exact output mixture: for
     each atom the output law is a shifted copy of the base Gaussian, so
     the projected grid plus shift integrates it.  Likelihoods stay in log
-    space through a max-subtracted log-sum-exp.
+    space through a max-subtracted log-sum-exp.  The one-row case of
+    mutual_information_many.
 
     Raises QuadratureUnderflowError when the average is not finite (a
     signal sqrt(l) x that overflows float64), and SizeLimitError when
     the support differences span more than MAX_TENSOR_DIM dimensions or
     the grid exceeds MAX_GRID_ATOM_POINTS.
     """
-    return _posterior_pass(dist.probs, *_grid_parts(dist, spec, quad))
+    return float(mutual_information_many(dist, [spec.snr], quad)[0])
 
 
 def mmse(
@@ -482,7 +559,7 @@ def mmse(
         mu = col @ w
         return col2 @ w - mu * mu
 
-    return _posterior_pass(dist.probs, *_grid_parts(dist, spec, quad), spread)
+    return float(_posterior_average(dist, [spec.snr], quad, spread)[0])
 
 
 def expected_conditional_tau(
@@ -538,5 +615,5 @@ def expected_conditional_tau(
             moments = dict(zip(blocks, raw @ w))
         return expansion.evaluate(MomentOracle(moments.__getitem__))
 
-    return _posterior_pass(dist.probs, *_grid_parts(dist, spec, quad), form)
+    return float(_posterior_average(dist, [spec.snr], quad, form)[0])
 

@@ -12,9 +12,11 @@ active coordinate / widest stencil half-width).  The estimate covers
 truncation, not roundoff: order 4 of (1/2) log(1+x) at 0.05 is off by
 2.4e-6 with an estimate of 2.3e-9.
 
-f is called at every nonzero-weight stencil point of every level, and
-the levels share points (the center and every second point of a finer
-level), so a caller whose f is costly memoises it.
+f is called once, with the distinct nonzero-weight stencil points of
+every level: the levels share points (the center and every second
+point of a finer level), and each is asked for once, so a costly f can
+evaluate the whole list in one vectorised pass.  The levels then sum
+their samples in stencil order, as a point-by-point loop would.
 """
 from __future__ import annotations
 
@@ -92,7 +94,7 @@ def central_stencil(d: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
 
 
 def fd_partial(
-    f: Callable[[tuple[float, ...]], float],
+    f: Callable[[list[tuple[float, ...]]], Sequence[float]],
     orders: Sequence[int],
     point: Sequence[float],
 ) -> tuple[float, float]:
@@ -100,8 +102,9 @@ def fd_partial(
 
     Parameters
     ----------
-    f : callable taking a tuple of floats, called once per
-        nonzero-weight sample of every level; repeats are not cached.
+    f : callable taking the list of distinct sample points (tuples of
+        floats) of every level, in stencil order of first use, and
+        returning their values in the same order; called once.
     orders : per-axis derivative orders; zeros skip the axis.
     point : evaluation point, same length as orders.
 
@@ -140,15 +143,24 @@ def fd_partial(
         weight = math.prod(w for _, w in combo)
         if weight:
             stencil.append((tuple(offset for offset, _ in combo), float(weight)))
-    values = []
+    # every level's samples, then their distinct points in one call of f
+    levels = []
     for level in range(RICHARDSON_LEVELS):
         h = step * 0.5**level
-        acc = 0.0
+        samples = []
         for offsets, weight in stencil:
             x = list(point)
             for i, offset in zip(axes, offsets):
                 x[i] = x[i] + offset * h
-            acc += weight * f(tuple(x))
+            samples.append((tuple(x), weight))
+        levels.append((h, samples))
+    points = list(dict.fromkeys(x for _, samples in levels for x, _ in samples))
+    sampled = dict(zip(points, f(points)))
+    values = []
+    for h, samples in levels:
+        acc = 0.0
+        for x, weight in samples:
+            acc += weight * sampled[x]
         values.append(acc / h**total)
 
     tableau = [values]

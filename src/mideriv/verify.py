@@ -29,6 +29,7 @@ from .channel import (
     gauss_hermite,
     mmse,
     mutual_information,
+    mutual_information_many,
 )
 from .errors import DomainError, ValidationError, integer
 from .fd import BASE_STEP, RICHARDSON_LEVELS, fd_partial
@@ -254,18 +255,19 @@ def fd_mi_partial(
     """The fd side of the check: (value, error estimate) of the partial.
 
     Finite-differences the directly computed mutual information by
-    fd_partial, which works out the step from the point and asks again
-    for points its levels share.  memo maps snr points to mi values and
-    is the only store of samples; share it only between requests on the
-    same law and rule.
+    fd_partial, which works out the step from the point and asks for all
+    its distinct points at once; the ones memo lacks go to
+    mutual_information_many in one batch.  memo maps snr points to mi
+    values and is the only store of samples; share it only between
+    requests on the same law and rule.
     """
     if memo is None:
         memo = {}
 
-    def f(x: tuple[float, ...]) -> float:
-        if x not in memo:
-            memo[x] = mutual_information(dist, ChannelSpec(x), quad)
-        return memo[x]
+    def f(points: list[tuple[float, ...]]) -> list[float]:
+        new = [x for x in points if x not in memo]
+        memo.update(zip(new, mutual_information_many(dist, new, quad).tolist()))
+        return [memo[x] for x in points]
 
     return fd_partial(f, request.orders, request.point)
 

@@ -1,6 +1,7 @@
 """Quadrature, input laws, mutual information, and conditional forms."""
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -23,8 +24,10 @@ from mideriv.channel import (
     gauss_hermite,
     mmse,
     mutual_information,
+    mutual_information_many,
     _difference_basis,
     _grid_parts,
+    _orientation,
     _posterior_pass,
 )
 from mideriv.errors import DomainError, QuadratureUnderflowError, SizeLimitError, ValidationError
@@ -106,13 +109,13 @@ def test_tensor_grid_keeps_exactly_the_points_above_the_weight_floor(order, dim)
 def _unpruned_pass(dist, spec, order, values=None):
     """The posterior pass on the unpruned tensor rule over the same axes."""
     nodes, weights = hermegauss(order)
-    logp, D, _, _ = _grid_parts(dist, spec, gauss_hermite(order))
+    ((_, logp, D, _, _),) = _grid_parts(dist, [spec.snr], gauss_hermite(order))
     v = dist.support * np.sqrt(spec.snr)
-    U = _difference_basis(v, dist.probs)
-    dim = U.shape[1]
+    ((_, U),) = _difference_basis(v[None], dist.probs)
+    dim = U.shape[2]
     T = np.stack([m.ravel() for m in np.meshgrid(*([nodes] * dim), indexing="ij")], axis=1)
     W = _unpruned_product_weights(weights / math.sqrt(2.0 * math.pi), dim)
-    return _posterior_pass(dist.probs, logp, D, ((v - v.mean(axis=0)) @ U) @ T.T, W, values)
+    return _posterior_pass(dist.probs, logp, D, ((v - v.mean(axis=0)) @ U[0] @ T.T)[None], W, values)[0]
 
 
 def test_pruned_grid_values_match_the_unpruned_rule():
@@ -277,6 +280,33 @@ def test_mi_dimension_guards():
         assert abs(value - closedform.two_point_mi(sum(spec.snr))) < 1e-12
 
 
+def _orientation_reference(Y, probs):
+    """The sign rule on one set: the first pattern whose sorted rows compare last."""
+    Y = np.round(Y / np.abs(Y).max(), 10)
+    best_key = best = None
+    for signs in itertools.product((1.0, -1.0), repeat=Y.shape[1]):
+        key = sorted(zip(map(tuple, Y * signs), probs))
+        if best_key is None or key > best_key:
+            best_key, best = key, signs
+    return best
+
+
+def test_stacked_orientation_is_the_sorted_key_rule():
+    # half-integer coordinates and two masses make tied rows and tied
+    # patterns common; the stacked rule must pick what the per-set loop picks
+    rng = np.random.default_rng(3)
+    for trial in range(200):
+        atoms, r, sets = (int(k) for k in rng.integers(1, (9, 4, 6)))
+        Y = rng.integers(-2, 3, size=(sets, atoms, r)) / 2
+        Y[np.abs(Y).max(axis=(1, 2)) == 0] = 1.0
+        probs = rng.integers(1, 3, size=atoms) / 1.0
+        probs /= probs.sum()
+        signs = _orientation(Y, probs)
+        assert signs.shape == (sets, r)
+        for y, got in zip(Y, signs):
+            assert tuple(got) == _orientation_reference(y, probs)
+
+
 def test_grid_size_limit_is_joint():
     # 64 atoms on a rank-3 span: 64 * 300**3 atom-points at order 300
     levels = np.array([-1.5, -0.5, 0.5, 1.5])
@@ -309,7 +339,8 @@ def test_posterior_mean_matches_tanh():
         means.append(col @ w)
         return np.zeros(w.shape[1])
 
-    assert _posterior_pass(TWO_POINT.probs, *_grid_parts(TWO_POINT, spec, quad), mean) == 0.0
+    ((_, *parts),) = _grid_parts(TWO_POINT, [spec.snr], quad)
+    assert _posterior_pass(TWO_POINT.probs, *parts, mean) == [0.0]
     for x, mu in zip(col, means):
         y = math.sqrt(lam) * x + quad.nodes
         expected = [closedform.two_point_posterior_mean(lam, t) for t in y]
@@ -359,6 +390,34 @@ def test_non_finite_average_raises_underflow():
     ):
         with pytest.raises(QuadratureUnderflowError, match="overflows float64"):
             call()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_batch_raises_what_its_one_point_call_raises():
+    # the last row fails alone; with good rows of other ranks before it
+    # the batch raises the same error, and the size limits fire before
+    # any grid or stack is built
+    nodes, weights = hermegauss(MAX_QUAD_ORDER)
+    fresh = QuadratureRule(MAX_QUAD_ORDER, nodes, weights / math.sqrt(2.0 * math.pi))
+    levels = np.array([-1.5, -0.5, 0.5, 1.5])
+    cube = DiscreteJoint(np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1).T, [1 / 64] * 64)
+    rank4 = DiscreteJoint(np.vstack([np.zeros(4), np.eye(4)]), [0.2] * 5)
+    huge = DiscreteJoint([[1e200], [-1e200]], [0.5, 0.5])
+    cases = [
+        (rank4, [(0.0,) * 4, (1.0, 0.0, 0.0, 0.0), (1.0,) * 4], fresh, SizeLimitError, "4 dimensions"),
+        (cube, [(0.1, 0.0, 0.0), (0.1, 0.2, 0.3)], fresh, SizeLimitError, "atom-points"),
+        (huge, [(1.0,), (1e300,)], None, QuadratureUnderflowError, "overflows float64"),
+        (PAIR, [(0.5, 0.9), (0.5, -1.0)], None, ValidationError, "entry 1"),
+        (PAIR, [(0.5, 0.9), (0.5,)], None, DomainError, "1 channels"),
+    ]
+    for dist, rows, quad, error, match in cases:
+        with pytest.raises(error, match=match) as one:
+            mutual_information(dist, ChannelSpec(rows[-1]), quad)
+        with pytest.raises(error) as many:
+            mutual_information_many(dist, rows, quad)
+        assert str(many.value) == str(one.value)
+        assert fresh._grids == {}
 
 
 def test_mmse_zero_snr_is_prior_variance():

@@ -11,6 +11,11 @@ from mideriv.errors import DomainError
 from mideriv.fd import central_stencil, fd_partial, fornberg_weights, stencil_halfwidth
 
 
+def pointwise(g):
+    """g lifted to fd_partial's f, which takes the list of sample points."""
+    return lambda points: [g(x) for x in points]
+
+
 def test_second_derivative_three_point_weights():
     weights = fornberg_weights(2, (-1, 0, 1))
     assert weights == [Fraction(1), Fraction(-2), Fraction(1)]
@@ -46,7 +51,7 @@ def test_fd_matches_log_derivative():
     def f(x):
         return 0.5 * math.log1p(x[0])
 
-    value, estimate = fd_partial(f, (2,), (0.5,))
+    value, estimate = fd_partial(pointwise(f), (2,), (0.5,))
     assert abs(value - (-2.0 / 9.0)) < 1e-9
     assert estimate < 1e-9
 
@@ -56,7 +61,7 @@ def test_fd_step_shrinks_near_zero():
     def f(x):
         return 0.5 * math.log1p(x[0])
 
-    value, _ = fd_partial(f, (2,), (0.01,))
+    value, _ = fd_partial(pointwise(f), (2,), (0.01,))
     assert abs(value - (-0.5 / 1.01**2)) < 1e-12
 
 
@@ -66,7 +71,7 @@ def test_fd_mixed_partial_of_polynomial():
 
     # truncation vanishes on a cubic; what remains is roundoff from the
     # 1/h^3 scaling
-    value, estimate = fd_partial(f, (2, 1), (0.7, 1.3))
+    value, estimate = fd_partial(pointwise(f), (2, 1), (0.7, 1.3))
     assert abs(value - 2.0) < 1e-9
     assert estimate < 1e-9
 
@@ -75,7 +80,7 @@ def test_fd_third_derivative():
     def f(x):
         return math.sin(x[0])
 
-    value, _ = fd_partial(f, (3,), (0.9,))
+    value, _ = fd_partial(pointwise(f), (3,), (0.9,))
     assert abs(value + math.cos(0.9)) < 1e-8
 
 
@@ -95,26 +100,34 @@ def test_fd_validation_and_domain_guard():
 
 
 def test_fd_mi_partial_evaluates_each_point_once(monkeypatch):
-    # fd_partial asks again for the points its levels share; the memo of
-    # fd_mi_partial is the one store that answers the repeats
-    asked, evaluated = [], []
-    fd, mi = verify.fd_partial, verify.mutual_information
+    # fd_partial hands f each distinct point once, and fd_mi_partial
+    # sends the points its memo lacks to mutual_information_many in one
+    # batch; the memo is the one store that answers a later request
+    asked, batches = [], []
+    fd, many = verify.fd_partial, verify.mutual_information_many
 
     def recording_fd(f, orders, point):
-        return fd(lambda x: asked.append(x) or f(x), orders, point)
+        return fd(lambda points: asked.append(points) or f(points), orders, point)
+
+    def recording_many(dist, snrs, quad):
+        batches.append(list(snrs))
+        return many(dist, snrs, quad)
 
     monkeypatch.setattr(verify, "fd_partial", recording_fd)
-    monkeypatch.setattr(verify, "mutual_information", lambda *a: evaluated.append(a[1].snr) or mi(*a))
+    monkeypatch.setattr(verify, "mutual_information_many", recording_many)
     law, quad, memo = verify.two_point_input(), gauss_hermite(16), {}
     verify.fd_mi_partial(law, verify.DerivativeRequest((1,), (0.8,)), quad, memo)
-    assert sorted(evaluated) == sorted(set(asked))
-    assert len(set(asked)) < len(asked)  # three levels share points
-    first = set(asked)
+    assert len(asked) == 1 and len(set(asked[0])) == len(asked[0])
+    assert batches == asked
+    # three levels share points: fewer distinct points than samples
+    assert len(asked[0]) < 3 * sum(1 for w in central_stencil(1)[1] if w)
+    first = set(asked[0])
     asked.clear()
-    evaluated.clear()
+    batches.clear()
     verify.fd_mi_partial(law, verify.DerivativeRequest((2,), (0.8,)), quad, memo)
-    assert sorted(evaluated) == sorted(set(asked) - first)
-    assert 0 < len(evaluated) < len(set(asked))
+    assert len(asked) == 1 and len(batches) == 1
+    assert sorted(batches[0]) == sorted(set(asked[0]) - first)
+    assert 0 < len(batches[0]) < len(asked[0])
 
 
 def test_fd_zero_weight_offsets_are_skipped():
@@ -124,6 +137,6 @@ def test_fd_zero_weight_offsets_are_skipped():
         seen.add(x[0])
         return x[0] ** 2
 
-    fd_partial(f, (1,), (1.0,))
+    fd_partial(pointwise(f), (1,), (1.0,))
     # odd-derivative central stencils carry weight 0 at the center
     assert 1.0 not in seen

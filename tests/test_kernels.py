@@ -24,6 +24,11 @@ from mideriv.channel import (
 from mideriv.errors import QuadratureUnderflowError
 
 
+def _pass(probs, logp, D, G, W, values=None):
+    """The stacked posterior pass on one signal set: D (A, A), G (A, P)."""
+    return _posterior_pass(probs, logp, D[None], G[None], W, values)[0]
+
+
 def _mi_reference(probs, logp, D, G, W):
     probs, logp, D, G, W = (np.asarray(x).tolist() for x in (probs, logp, D, G, W))
     A = len(probs)
@@ -84,7 +89,7 @@ def _pass_weights(probs, logp, D, G, W):
         seen.append(w.copy())
         return np.zeros(w.shape[1])
 
-    assert _posterior_pass(probs, logp, D, G, W, keep) == 0.0
+    assert _pass(probs, logp, D, G, W, keep) == 0.0
     return seen
 
 
@@ -95,7 +100,7 @@ CASES = [(1, 1, 16), (1, 6, 20), (2, 2, 19), (2, 5, 16), (3, 3, 16), (3, 6, 17)]
 def test_kernels_match_loop_reference(n, atoms, order):
     args = _pass_args(100 * n + atoms, n, atoms, order)
     _, logp, D, G, W = args
-    assert abs(_posterior_pass(*args) - _mi_reference(*args)) < 1e-13
+    assert abs(_pass(*args) - _mi_reference(*args)) < 1e-13
     weights = _pass_weights(*args)
     assert len(weights) == atoms
     for a, w in enumerate(weights):
@@ -112,13 +117,13 @@ def test_pass_raises_only_on_non_finite_average():
     G = G.copy()
     G[0, 3] -= 1000.0
     args = (probs, logp, D, G, W)
-    assert abs(_posterior_pass(*args) - _mi_reference(*args)) < 1e-13
+    assert abs(_pass(*args) - _mi_reference(*args)) < 1e-13
     for a, w in enumerate(_pass_weights(*args)):
         assert np.abs(w - _weights_reference(logp, D[a], G, a)).max() < 1e-13
     G[0, 3] = math.inf
     with pytest.warns(RuntimeWarning, match="invalid value"):
         with pytest.raises(QuadratureUnderflowError):
-            _posterior_pass(*args)
+            _pass(*args)
 
 
 @st.composite

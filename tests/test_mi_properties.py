@@ -132,7 +132,7 @@ def test_mi_ignores_an_atom_split_into_identical_rows(law, pick, share):
     # DiscreteJoint merges the two rows back into one atom
     assert abs(_mi(DiscreteJoint(support, probs), snr) - mi) <= ROUNDOFF
     # the posterior pass, handed both rows, weighs them as one atom
-    logp, D, G, W = _grid_parts(dist, ChannelSpec(snr), QUAD)
+    ((_, logp, D, G, W),) = _grid_parts(dist, [snr], QUAD)
     rows = np.append(np.arange(dist.atom_count), k)
-    split = _posterior_pass(probs, np.log(probs), D[np.ix_(rows, rows)], G[rows], W)
+    (split,) = _posterior_pass(probs, np.log(probs), D[:, rows][:, :, rows], G[:, rows], W)
     assert abs(split - mi) <= ROUNDOFF

@@ -6,7 +6,9 @@ through the same posterior pass; that grid is pruned to the points
 above the weight floor like every grid of the rule.  Rank-deficient laws must agree with
 it at converged orders; full-rank laws, which keep the coordinate axes,
 must agree bit for bit.  Symmetric laws, whose principal axes tie, check that
-the projected grid does not turn with the order of atoms or channels.
+the projected grid does not turn with the order of atoms or channels.  A batch
+of snr rows, grouped by rank and stacked, must give each row the bits of its
+one-row call.
 """
 from __future__ import annotations
 
@@ -17,31 +19,36 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mideriv import channel
 from mideriv.channel import (
+    MAX_STACK_ELEMENTS,
     ChannelSpec,
     DiscreteJoint,
     expected_conditional_tau,
     gauss_hermite,
     mmse,
     mutual_information,
+    mutual_information_many,
     _posterior_pass,
 )
+from mideriv.fd import fd_partial
 from mideriv.forms import SlotBinding
+from mideriv.verify import correlated_pair_input, default_derivative_cases
 
 
 def _full_tensor(dist, spec, quad):
     v = dist.support * np.sqrt(spec.snr)
     D = 0.5 * ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
     Z, W = quad.tensor(dist.n)
-    return dist.probs, np.log(dist.probs), D, (v - v.mean(axis=0)) @ Z.T, W
+    return dist.probs, np.log(dist.probs), D[None], ((v - v.mean(axis=0)) @ Z.T)[None], W
 
 
 def oracle_mi(dist, spec, quad):
-    return _posterior_pass(*_full_tensor(dist, spec, quad))
+    return _posterior_pass(*_full_tensor(dist, spec, quad))[0]
 
 
 def _oracle_average(dist, spec, quad, values):
-    return _posterior_pass(*_full_tensor(dist, spec, quad), values)
+    return _posterior_pass(*_full_tensor(dist, spec, quad), values)[0]
 
 
 def oracle_mmse(dist, spec, quad, channel):
@@ -171,3 +178,52 @@ def test_projected_values_ignore_atom_and_channel_order(support, probs, snr):
             dist = DiscreteJoint([[support[a][i] for i in perm] for a in order], [probs[a] for a in order])
             value = mutual_information(dist, ChannelSpec([snr[i] for i in perm]), quad)
             assert abs(value - base) <= 1e-12 * max(1.0, base)
+
+
+def _stencil_points(orders, point):
+    """The distinct snr points that fd_partial asks for at a partial."""
+    points = []
+    fd_partial(lambda xs: points.extend(xs) or [0.0] * len(xs), orders, point)
+    return points
+
+
+def _batch_laws():
+    """(law, snr rows, quadrature order): every grid rank and row mix."""
+    pair = correlated_pair_input()
+    triple = next(case.dist for case in default_derivative_cases(7) if case.name == "triple")
+    line = DiscreteJoint([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], [0.5, 0.5, 0.5]], [0.3, 0.3, 0.4])
+    cases = [
+        # rank 0: one atom, and any law at zero snr
+        (DiscreteJoint([[0.3, -1.2]], [1.0]), [(0.5, 0.9), (0.0, 0.0), (2.0, 0.1)], 16),
+        (pair, [(0.0, 0.0), (0.0, 0.0)], 16),
+        # rank 1: duplicated coordinates
+        (line, [(0.1, 0.2, 0.3), (0.3, 0.2, 0.1), (1.0, 0.0, 0.5)], 16),
+        # rank 2: the seed-7 triple law of the battery, on its rule, at
+        # every 16th point of its d(1,1,1) stencil
+        (triple, _stencil_points((1, 1, 1), (0.3, 0.5, 0.7))[::16], 128),
+        # rank 3 on three and on four channels
+        (DiscreteJoint([[0, 0, 0], [1, 0, 0], [0, 2, 0], [0, 0, 1], [1, 1, 1]], [0.1, 0.2, 0.3, 0.15, 0.25]),
+         [(0.2, 0.4, 0.6), (1.0, 0.5, 0.25)], 16),
+        (DiscreteJoint([[0, 0, 0, 1], [1, 0, 0, 1], [0, 2, 0, 1], [0, 0, 1, 1], [1, 1, 1, 1]], [0.1, 0.2, 0.3, 0.15, 0.25]),
+         [(0.2, 0.4, 0.6, 0.8), (1.0, 0.5, 0.25, 0.0)], 16),
+        # rows of different ranks: the pair law at (0.5, 0.0) is rank 1
+        (pair, [(0.5, 0.0), (0.5, 0.9), (0.0, 0.0), (0.0, 0.9), (0.5, 0.9)], 64),
+    ]
+    # the tied-axis laws, at their snr, doubled, and reversed
+    for support, probs, snr in SYMMETRIC_LAWS:
+        rows = [tuple(snr), tuple(2 * x for x in snr), tuple(0.1 * (i + 1) for i in range(len(snr)))[::-1]]
+        cases.append((DiscreteJoint(support, probs), rows, 16))
+    return cases
+
+
+@pytest.mark.parametrize("budget", [1, MAX_STACK_ELEMENTS, 2**24])
+def test_batches_give_the_bits_of_one_row_calls(budget, monkeypatch):
+    # a budget of 1 puts every row in a stack of its own, 2**24 puts
+    # each rank's rows in one stack
+    monkeypatch.setattr(channel, "MAX_STACK_ELEMENTS", budget)
+    for dist, rows, order in _batch_laws():
+        quad = gauss_hermite(order)
+        batch = mutual_information_many(dist, rows, quad)
+        single = np.array([mutual_information(dist, ChannelSpec(snr), quad) for snr in rows])
+        assert batch.shape == (len(rows),)
+        assert batch.tobytes() == single.tobytes()

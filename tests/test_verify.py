@@ -94,8 +94,8 @@ def test_a_law_at_two_quadrature_orders_keeps_two_sample_sets():
 
 def test_cases_on_one_law_and_rule_share_mi_samples(monkeypatch):
     calls = []
-    mi = verify.mutual_information
-    monkeypatch.setattr(verify, "mutual_information", lambda *a: calls.append(a) or mi(*a))
+    many = verify.mutual_information_many
+    monkeypatch.setattr(verify, "mutual_information_many", lambda d, snrs, q: calls.extend(snrs) or many(d, snrs, q))
     law = two_point_input()
     cases = [DerivativeCase("two", law, DerivativeRequest((k,), (0.8,)), 16) for k in (1, 2)]
     verify_derivatives(cases=cases)
