@@ -8,7 +8,7 @@ numerically (high-order finite differences) and exactly (rational
 arithmetic) through scripted verification suites.
 
 Layout:
-  partitions  diverse-partition enumeration with a brute-force oracle
+  partitions  diverse partitions, built by one slot programme
   graphs      loop-free multigraph duals and DOT export
   forms       exact symbolic expansions, moment oracles, cumulants
   channel     quadrature and the one posterior pass behind mutual
@@ -45,7 +45,7 @@ from .forms import (
     univariate_moment_oracle,
 )
 from .graphs import LabeledMultigraph, export_dot, graph_to_partition, partition_to_graph
-from .partitions import Partition, brute_force_diverse, enumerate_diverse, set_partitions
+from .partitions import Partition, enumerate_diverse, set_partitions
 from .verify import (
     CaseRecord,
     DerivativeCase,
@@ -95,7 +95,6 @@ __all__ = [
     "graph_to_partition",
     "partition_to_graph",
     "Partition",
-    "brute_force_diverse",
     "enumerate_diverse",
     "set_partitions",
     "CaseRecord",

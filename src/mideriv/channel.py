@@ -550,6 +550,7 @@ def mmse(
     raises QuadratureUnderflowError, as in mutual_information; here that
     also happens when x_i**2 overflows float64.
     """
+    channel = integer(channel, DomainError, "channel")
     if not 1 <= channel <= dist.n:
         raise DomainError(f"channel {channel} leaves 1..{dist.n}")
     col = dist.support[:, channel - 1]

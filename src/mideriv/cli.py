@@ -93,6 +93,13 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 
 
 def cmd_tau(args: argparse.Namespace) -> int:
+    # each mode refuses the other's flags instead of ignoring them
+    numeric = (("--dist", args.dist is not None), ("--snr", args.snr is not None), ("--no-fd", args.no_fd))
+    given = [flag for flag, on in numeric if on]
+    if args.symbolic and given:
+        raise ValidationError(f"{given[0]}: numeric mode only, not with --symbolic")
+    if args.bar and not args.symbolic:
+        raise ValidationError("--bar: symbolic mode only (pass --symbolic)")
     multiplicities = _parse_list(args.multiplicities, "multiplicities", int)
     if any(v < 0 for v in multiplicities):
         raise ValidationError(f"multiplicities: {multiplicities} has a negative entry")

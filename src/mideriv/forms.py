@@ -11,13 +11,14 @@ oracles:
 * the joint cumulant over set partitions of {1, ..., n} with
   coefficient (-1)**(k-1) * (k-1)!.
 
-The diverse-partition form is never enumerated raw.  A dynamic
-programme walks the slots, keeping the multiset of block contents
-already mapped through the slot binding, with a flag for identical
-pairs and an integer multiplicity per state, so repeated arguments
-collapse as they arrive: seven identical slots take milliseconds where
-the 624,889 raw partitions take half a minute.  The enumerators of
-:mod:`mideriv.partitions` remain its test oracles.
+The diverse-partition form is never enumerated raw.  The slot
+programme of :mod:`mideriv.partitions` walks the slots, keeping the
+multiset of block contents already mapped through the slot binding,
+with a flag for identical pairs and an integer multiplicity per state,
+so repeated arguments collapse as they arrive: seven identical slots
+take milliseconds where the 624,889 raw partitions take 12-15 s.  This
+module adds only the weighting: k, s and the coefficients over 2**n.
+The enumerators in ``tests/partition_oracles.py`` are its oracles.
 
 This module never integrates anything; oracles own the measure.
 """
@@ -31,7 +32,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, SizeLimitError, ValidationError, integer
-from .partitions import ENUMERATION_LIMIT, canonical_blocks, set_partitions
+from .partitions import ENUMERATION_LIMIT, canonical_blocks, set_partitions, slot_states, state_blocks
 
 Block = tuple[int, ...]
 Monomial = tuple[Block, ...]
@@ -267,97 +268,24 @@ class SymbolicExpansion:
         return {"terms": terms}
 
 
-# A unit of the programme's state is one raw block value with its
-# content mapped through the binding: (content, doubled), doubled when
-# the raw value occurs twice (an identical pair).
-Unit = tuple[Block, bool]
-
-
-def _slot_moves(state: tuple[Unit, ...], var: int):
-    """(state, ways) after both copies of the next slot, bound to var, land.
-
-    The moves of the raw construction: join two distinct block values,
-    join both copies of a doubled value, join one value and open a fresh
-    singleton, or open two fresh singletons (a new doubled pair).
-    Joining one copy of a doubled value splits it into two plain blocks.
-    Units equal after the binding stand for distinct raw values, so a
-    move on them is counted C(c, 2), c1 * c2 or c times.  States are
-    sorted tuples; contents stay sorted because slots arrive in
-    increasing variable order.
-    """
-    starts: list[int] = []  # first position of each run of equal units
-    for i, u in enumerate(state):
-        if not i or u != state[i - 1]:
-            starts.append(i)
-    ends = starts[1:] + [len(state)]
-    # what one copy of var makes of each run's unit
-    one = []
-    for i in starts:
-        c, d = state[i]
-        one.append(((c + (var,), False), (c, False)) if d else ((c + (var,), False),))
-
-    fresh = ((var,), False)
-    for a, pa in enumerate(starts):
-        ca = ends[a] - pa
-        rest = state[:pa] + state[pa + 1 :]
-        if ca > 1:
-            yield tuple(sorted(state[:pa] + state[pa + 2 :] + one[a] + one[a])), ca * (ca - 1) // 2
-        for b in range(a + 1, len(starts)):
-            pb = starts[b] - 1  # its position in rest
-            added = one[a] + one[b]
-            yield tuple(sorted(rest[:pb] + rest[pb + 1 :] + added)), ca * (ends[b] - starts[b])
-        c, d = state[pa]
-        if d:
-            yield tuple(sorted(rest + ((c + (var,), True),))), ca
-        yield tuple(sorted(rest + one[a] + (fresh,))), ca
-    yield tuple(sorted(state + (((var,), True),))), 1
-
-
 @lru_cache(maxsize=None)
 def _tau_symbolic(variables: tuple[int, ...], min_block_size: int) -> SymbolicExpansion:
-    """Collapsed expansion by a dynamic programme over the slots.
+    """Collapsed expansion from the slot programme's final states.
 
-    The raw sum runs over the diverse partitions of {1, 1, ..., n, n},
-    built index by index as in partitions.enumerate_diverse.  Here the
-    state after each slot is the sorted multiset of units (the raw block
-    values with their contents mapped through the binding), weighted by
-    how many raw partial partitions map onto it.  k and s stay exact:
-    two raw blocks are identical only when both began as the fresh
-    singletons of one index and every later index joined both, which is
-    what the doubled flag follows.  The raw sum is symmetric in the
-    indices, so the slots are taken in increasing variable order.
-
-    With min_block_size=2 a state is dropped once its singleton blocks
-    outnumber twice the slots still to come: each slot grows at most
-    two blocks, so no state left after the last slot holds a singleton.
-    Coefficients are kept as integers over 2**n.
+    Each state of partitions.slot_states is one monomial, already in
+    canonical block order, standing for as many raw partitions as its
+    multiplicity; k is its block count and s its number of doubled
+    units.  Equal monomials merge here, so the sorted terms need no
+    second canonicalisation.  Coefficients are kept as integers over
+    2**n.
     """
     n = len(variables)
-    states: dict[tuple[Unit, ...], int] = {(): 1}
-    for i, var in enumerate(sorted(variables)):
-        room = 2 * (n - 1 - i)
-        nxt: dict[tuple[Unit, ...], int] = {}
-        for state, mult in states.items():
-            for key, ways in _slot_moves(state, var):
-                if min_block_size == 2 and sum(1 + d for c, d in key if len(c) == 1) > room:
-                    continue
-                nxt[key] = nxt.get(key, 0) + mult * ways
-        states = nxt
-
     weights: dict[tuple[int, int], int] = {}
     acc: dict[Monomial, int] = {}
-    for state, mult in states.items():
-        # Canonical block order (lexicographic, then a stable sort by
-        # size, largest first), so equal monomials merge here and the
-        # sorted terms need no second canonicalisation.
-        doubled = [c for c, d in state if d]
-        blocks = [c for c, _ in state]
-        if doubled:
-            blocks += doubled
-            blocks.sort()
-        blocks.sort(key=len, reverse=True)
-        mono = tuple(blocks)
-        k, s = len(mono), len(doubled)
+    for state, mult in slot_states(variables, min_block_size).items():
+        mono = state_blocks(state)
+        k = len(mono)
+        s = k - len(state)
         if (k, s) not in weights:
             # (-1)**(k-1) * (k-2)! / 2**s, scaled by 2**n
             weights[k, s] = (-1) ** (k - 1) * math.factorial(k - 2) * 2 ** (n - s)

@@ -6,6 +6,14 @@ contains a repeated index; these index the alternating sums evaluated in
 :mod:`mideriv.forms`.  Blocks and partitions are kept in a canonical
 order (blocks sorted internally; block list sorted by size descending,
 then lexicographically) so values compare, hash and serialize stably.
+
+One construction builds them: a programme over the slots of a binding
+(``slot_states``), which :mod:`mideriv.forms` runs at the binding of
+each expansion, so repeated variables collapse as they arrive, and which
+``enumerate_diverse`` runs at the distinct binding (1, ..., n), where
+its states are the partitions themselves.  A recursive enumerator and a
+brute-force walk over labeled set partitions are kept beside the tests
+(``tests/partition_oracles.py``) as its independent oracles.
 """
 from __future__ import annotations
 
@@ -16,14 +24,11 @@ from typing import Iterable, Iterator
 
 from .errors import SizeLimitError, ValidationError, integer
 
-# Enumeration guards.  The recursive enumeration is exact but the count
-# grows fast (1, 3, 16, 139, 1750, ...); the brute-force oracle walks all
-# set partitions of 2n labeled copies, so Bell(10) = 115975 is its ceiling.
-# Every result is held in memory: n = 7 gives 624,889 partitions in about
-# 28 s, and n = 8 does not finish.  forms.tau_symbolic never enumerates,
-# but keeps the same slot limit.
+# Enumeration guard.  The count grows fast (1, 3, 16, 139, 1750, 29388,
+# 624889) and every result is held in memory: n = 7 takes 12-15 s and
+# 200 MB on a 2-CPU machine under CPython 3.11, and n = 8 does not finish.
+# forms.tau_symbolic keeps the same slot limit.
 ENUMERATION_LIMIT = 7
-BRUTE_FORCE_LIMIT = 5
 
 Block = tuple[int, ...]
 
@@ -94,6 +99,99 @@ class Partition:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
+# A unit of a programme state is one raw block value with its content
+# mapped through the slot binding: (content, doubled), doubled when the
+# raw value occurs twice (an identical pair).
+Unit = tuple[Block, bool]
+State = tuple[Unit, ...]
+
+
+def _slot_moves(state: State, var: int):
+    """(state, ways) after both copies of the next slot, bound to var, land.
+
+    The moves of the raw construction: join two distinct block values,
+    join both copies of a doubled value, join one value and open a fresh
+    singleton, or open two fresh singletons (a new doubled pair).
+    Joining one copy of a doubled value splits it into two plain blocks.
+    Units equal after the binding stand for distinct raw values, so a
+    move on them is counted C(c, 2), c1 * c2 or c times.  States are
+    sorted tuples; contents stay sorted because slots arrive in
+    increasing variable order.
+    """
+    starts: list[int] = []  # first position of each run of equal units
+    for i, u in enumerate(state):
+        if not i or u != state[i - 1]:
+            starts.append(i)
+    ends = starts[1:] + [len(state)]
+    # what one copy of var makes of each run's unit
+    one = []
+    for i in starts:
+        c, d = state[i]
+        one.append(((c + (var,), False), (c, False)) if d else ((c + (var,), False),))
+
+    fresh = ((var,), False)
+    for a, pa in enumerate(starts):
+        ca = ends[a] - pa
+        rest = state[:pa] + state[pa + 1 :]
+        if ca > 1:
+            yield tuple(sorted(state[:pa] + state[pa + 2 :] + one[a] + one[a])), ca * (ca - 1) // 2
+        for b in range(a + 1, len(starts)):
+            pb = starts[b] - 1  # its position in rest
+            added = one[a] + one[b]
+            yield tuple(sorted(rest[:pb] + rest[pb + 1 :] + added)), ca * (ends[b] - starts[b])
+        c, d = state[pa]
+        if d:
+            yield tuple(sorted(rest + ((c + (var,), True),))), ca
+        yield tuple(sorted(rest + one[a] + (fresh,))), ca
+    yield tuple(sorted(state + (((var,), True),))), 1
+
+
+def slot_states(variables: Iterable[int], min_block_size: int) -> dict[State, int]:
+    """Final states of the slot programme, each with its multiplicity.
+
+    The diverse partitions of {1, 1, ..., n, n} are built index by
+    index, each index landing as the variable its slot is bound to.  A
+    state is the sorted multiset of units (the raw block values with
+    their contents mapped through the binding), weighted by how many
+    raw partitions map onto it.  Two raw blocks are identical only when
+    both began as the fresh singletons of one index and every later
+    index joined both, which is what the doubled flag follows.  The raw
+    construction is symmetric in the indices, so the slots are taken in
+    increasing variable order.  At the distinct binding (1, ..., n)
+    every state is one raw partition, with multiplicity 1.
+
+    With min_block_size=2 a state is dropped once its singleton blocks
+    outnumber twice the slots still to come: each slot grows at most
+    two blocks, so no final state holds a singleton.
+    """
+    ordered = sorted(variables)
+    n = len(ordered)
+    states: dict[State, int] = {(): 1}
+    for i, var in enumerate(ordered):
+        room = 2 * (n - 1 - i)
+        nxt: dict[State, int] = {}
+        for state, mult in states.items():
+            for key, ways in _slot_moves(state, var):
+                if min_block_size == 2 and sum(1 + d for c, d in key if len(c) == 1) > room:
+                    continue
+                nxt[key] = nxt.get(key, 0) + mult * ways
+        states = nxt
+    return states
+
+
+def state_blocks(state: State) -> tuple[Block, ...]:
+    """The canonical block tuple of a state; a doubled unit gives two blocks."""
+    # lexicographic first (units arrive sorted), then a stable sort by
+    # size, largest first
+    doubled = [c for c, d in state if d]
+    blocks = [c for c, _ in state]
+    if doubled:
+        blocks += doubled
+        blocks.sort()
+    blocks.sort(key=len, reverse=True)
+    return tuple(blocks)
+
+
 def enumerate_diverse(n: int, min_block_size: int = 1) -> list[Partition]:
     """All diverse partitions of {1, 1, ..., n, n}, canonical, sorted.
 
@@ -115,45 +213,9 @@ def enumerate_diverse(n: int, min_block_size: int = 1) -> list[Partition]:
         raise SizeLimitError(f"n={n}: supported enumeration range is 1..{ENUMERATION_LIMIT}")
     if min_block_size not in (1, 2):
         raise ValidationError(f"min_block_size: got {min_block_size!r}, expected 1 or 2")
-    results: set[tuple[Block, ...]] = set()
-
-    def extend(blocks: tuple[Block, ...], i: int) -> None:
-        if i > n:
-            if all(len(b) >= min_block_size for b in blocks):
-                results.add(canonical_blocks(blocks))
-            return
-        counts: dict[Block, int] = {}
-        for b in blocks:
-            counts[b] = counts.get(b, 0) + 1
-        vals = sorted(counts)
-
-        def with_added(targets: list[Block | None]) -> None:
-            nb = list(blocks)
-            for t in targets:
-                if t is None:
-                    nb.append((i,))
-                else:
-                    nb.remove(t)
-                    nb.append(t + (i,))
-            extend(tuple(nb), i + 1)
-
-        # The two copies of index i may join two distinct existing block
-        # values, both copies of a doubled value, one value plus a fresh
-        # singleton, or two fresh singletons.  Joining one block twice
-        # would repeat i inside a block and is skipped.
-        for a in range(len(vals)):
-            for b in range(a + 1, len(vals)):
-                with_added([vals[a], vals[b]])
-        for v in vals:
-            if counts[v] == 2:
-                with_added([v, v])
-        for v in vals:
-            with_added([v, None])
-        with_added([None, None])
-
-    extend((), 1)
-    ordered = sorted(results, key=lambda p: (len(p), p))
-    return [Partition._canonical(p) for p in ordered]
+    # the programme at the distinct binding: each state is one partition
+    found = map(state_blocks, slot_states(range(1, n + 1), min_block_size))
+    return [Partition._canonical(p) for p in sorted(found, key=lambda p: (len(p), p))]
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:
@@ -166,28 +228,3 @@ def set_partitions(items: list) -> Iterator[list[list]]:
         for i in range(len(part)):
             yield part[:i] + [part[i] + [first]] + part[i + 1 :]
         yield [[first]] + part
-
-
-def brute_force_diverse(n: int) -> list[Partition]:
-    """Independent enumeration oracle via labeled set partitions.
-
-    Walks all set partitions of 2n labeled positions (positions 2i and
-    2i+1 both carry index i+1), projects to index blocks, canonicalizes,
-    dedupes, and keeps the diverse ones.  Result is set-equal to
-    ``enumerate_diverse(n, 1)``.
-    """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SizeLimitError(f"n={n!r}: expected an integer in 1..{BRUTE_FORCE_LIMIT}")
-    if not 1 <= n <= BRUTE_FORCE_LIMIT:
-        raise SizeLimitError(
-            f"n={n}: brute-force oracle supports 1..{BRUTE_FORCE_LIMIT} "
-            "(set partitions of 2n positions)"
-        )
-    seen: set[tuple[Block, ...]] = set()
-    for part in set_partitions(list(range(2 * n))):
-        blocks = [tuple(sorted(p // 2 + 1 for p in b)) for b in part]
-        if any(len(set(b)) != len(b) for b in blocks):
-            continue
-        seen.add(canonical_blocks(blocks))
-    ordered = sorted(seen, key=lambda p: (len(p), p))
-    return [Partition(p) for p in ordered]

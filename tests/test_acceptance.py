@@ -15,8 +15,10 @@ from mideriv.channel import DiscreteJoint, ChannelSpec, gauss_hermite, mutual_in
 from mideriv.cli import main
 from mideriv.closedform import half_log_derivative
 from mideriv.forms import SlotBinding, gaussian_moment_oracle, tau_eval, tau_symbolic
-from mideriv.partitions import brute_force_diverse, enumerate_diverse
+from mideriv.partitions import enumerate_diverse
 from mideriv.verify import verify_cumulant_routes, verify_multiquadratic, verify_snr_combining
+
+from partition_oracles import brute_force_diverse
 
 
 def test_criterion_01_partition_sets_match_oracle(warmup):

@@ -463,6 +463,10 @@ def test_mmse_channel_index_guard():
         mmse(PAIR, ChannelSpec((0.5, 0.9)), channel=3)
     with pytest.raises(DomainError):
         mmse(PAIR, ChannelSpec((0.5, 0.9)), channel=0)
+    # checked as an integer, never indexed with or read as 1
+    for bad in (1.5, "1", True):
+        with pytest.raises(DomainError, match="channel"):
+            mmse(PAIR, ChannelSpec((0.5, 0.9)), channel=bad)
 
 
 def test_conditional_tau_centered_needs_two_slots():

@@ -172,6 +172,21 @@ def test_tau_numeric_past_fd_orders_needs_no_fd(capsys, dist_file):
     assert err.startswith("mideriv: error[domain]:")
 
 
+def test_tau_refuses_the_other_modes_flags(capsys, dist_file):
+    cases = [
+        (("--bar", "--dist", dist_file, "--snr", "0.8"), "--bar"),
+        (("--bar",), "--bar"),
+        (("--symbolic", "--dist", "missing.json"), "--dist"),
+        (("--symbolic", "--snr", "0.8"), "--snr"),
+        (("--symbolic", "--bar", "--no-fd"), "--no-fd"),
+    ]
+    for flags, named in cases:
+        code, out, err = run(capsys, "tau", "--multiplicities", "2", *flags)
+        assert code == 2, flags
+        assert out == "", flags
+        assert err.startswith(f"mideriv: error[validation]: {named}:"), flags
+
+
 def test_tau_numeric_without_dist_is_an_error(capsys):
     code, _, err = run(capsys, "tau", "--multiplicities", "2")
     assert code == 2

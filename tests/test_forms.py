@@ -26,7 +26,9 @@ from mideriv.forms import (
     tau_symbolic,
     univariate_moment_oracle,
 )
-from mideriv.partitions import brute_force_diverse, canonical_blocks, enumerate_diverse
+from mideriv.partitions import canonical_blocks
+
+from partition_oracles import brute_force_diverse, recursive_diverse
 
 HALF = Fraction(1, 2)
 
@@ -151,7 +153,7 @@ def multiplicity_patterns(n, largest=None):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_programme_matches_enumerate_then_collapse(n):
     for mbs in (1, 2):
-        raw = weighted(enumerate_diverse(n, mbs), n, mbs)
+        raw = weighted(recursive_diverse(n, mbs), n, mbs)
         for pattern in multiplicity_patterns(n):
             binding = SlotBinding.from_multiplicities(pattern)
             assert tau_symbolic(binding, mbs) == collapse(raw, binding.variables), (pattern, mbs)
@@ -171,7 +173,7 @@ def test_programme_matches_oracle_on_non_contiguous_bindings():
     for variables in ((1, 2, 1), (2, 1, 2, 1), (1, 2, 3, 1, 2)):
         n = len(variables)
         for mbs in (1, 2):
-            raw = weighted(enumerate_diverse(n, mbs), n, mbs)
+            raw = weighted(recursive_diverse(n, mbs), n, mbs)
             assert tau_symbolic(SlotBinding(variables), mbs) == collapse(raw, variables)
 
 
@@ -179,7 +181,7 @@ def test_programme_matches_oracle_on_non_contiguous_bindings():
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.sampled_from((1, 2)))
 def test_programme_matches_oracle_on_random_bindings(variables, mbs):
     n = len(variables)
-    raw = weighted(enumerate_diverse(n, mbs), n, mbs)
+    raw = weighted(recursive_diverse(n, mbs), n, mbs)
     assert tau_symbolic(SlotBinding(tuple(variables)), mbs) == collapse(raw, variables)
 
 

@@ -7,20 +7,29 @@ import numpy as np
 import pytest
 
 from mideriv.errors import SizeLimitError, ValidationError
-from mideriv.partitions import (
-    Partition,
-    brute_force_diverse,
-    enumerate_diverse,
-    set_partitions,
-)
+from mideriv.partitions import Partition, enumerate_diverse, set_partitions, slot_states
 
-KNOWN_COUNTS = {1: 1, 2: 3, 3: 16, 4: 139, 5: 1750}
+from partition_oracles import brute_force_diverse, recursive_diverse
+
+KNOWN_COUNTS = {1: 1, 2: 3, 3: 16, 4: 139, 5: 1750, 6: 29388}
 BELL = [1, 1, 2, 5, 15, 52, 203]
 
 
 def test_counts_match_known_sequence():
     for n, count in KNOWN_COUNTS.items():
         assert len(enumerate_diverse(n)) == count
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_distinct_binding_states_are_the_partitions(n):
+    # enumerate_diverse reads the programme at the distinct binding: there
+    # every state stands for one raw partition, and the sorted states are
+    # the recursive oracle's list, order and s included
+    for mbs in (1, 2):
+        states = slot_states(range(1, n + 1), mbs)
+        assert all(mult == 1 for mult in states.values()), (n, mbs)
+        got = [p.to_dict() for p in enumerate_diverse(n, mbs)]
+        assert got == [p.to_dict() for p in recursive_diverse(n, mbs)], (n, mbs)
 
 
 def test_set_equality_with_brute_force_oracle():
@@ -100,8 +109,6 @@ def test_enumeration_size_guards():
         enumerate_diverse(0)
     with pytest.raises(SizeLimitError):
         enumerate_diverse(9)
-    with pytest.raises(SizeLimitError):
-        brute_force_diverse(6)
 
 
 def test_enumeration_stops_at_seven():
