@@ -11,6 +11,7 @@ verify reports keep their indented layout.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -94,7 +95,12 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 
 def cmd_tau(args: argparse.Namespace) -> int:
     # each mode refuses the other's flags instead of ignoring them
-    numeric = (("--dist", args.dist is not None), ("--snr", args.snr is not None), ("--no-fd", args.no_fd))
+    numeric = (
+        ("--dist", args.dist is not None),
+        ("--snr", args.snr is not None),
+        ("--quad-order", args.quad_order is not None),
+        ("--no-fd", args.no_fd),
+    )
     given = [flag for flag, on in numeric if on]
     if args.symbolic and given:
         raise ValidationError(f"{given[0]}: numeric mode only, not with --symbolic")
@@ -128,7 +134,8 @@ def cmd_tau(args: argparse.Namespace) -> int:
     dist = _load_dist(args.dist)
     snr = _parse_list(args.snr, "snr", float)
     spec = ChannelSpec(snr)
-    quad = gauss_hermite(args.quad_order)
+    quad_order = DEFAULT_QUAD_ORDER if args.quad_order is None else args.quad_order
+    quad = gauss_hermite(quad_order)
     value = partition_formula(dist, spec, multiplicities, quad)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -136,7 +143,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
         "mode": "numeric",
         "multiplicities": list(multiplicities),
         "snr": list(snr),
-        "quad_order": args.quad_order,
+        "quad_order": quad_order,
         "value": value,
     }
     if not args.no_fd:
@@ -215,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbolic", action="store_true", help="print the exact expansion instead of a value")
     p.add_argument("--dist", help="numeric mode: input law JSON file")
     p.add_argument("--snr", help="numeric mode: comma-separated snr vector")
-    p.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER, help="Gauss-Hermite order (default: %(default)s)")
+    # None tells a given order from the default, which --symbolic refuses
+    p.add_argument("--quad-order", type=int, help=f"numeric mode: Gauss-Hermite order (default: {DEFAULT_QUAD_ORDER})")
     p.add_argument("--no-fd", action="store_true", help="numeric mode: skip the finite-difference cross-check")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_tau)
@@ -238,6 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The payloads a command builds (partitions, graphs, expansion terms)
+    # hold no reference cycles, so the cycle collector would only walk
+    # them, again and again as they grow.  Pause it for this one command
+    # and give the caller its own setting back; the few cycles a command
+    # does make (its parser, a caught exception) are collected afterwards.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

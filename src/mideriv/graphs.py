@@ -11,6 +11,7 @@ multigraph constructor rejects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError
 from .partitions import Partition
@@ -57,12 +58,19 @@ def partition_to_graph(partition: Partition) -> LabeledMultigraph:
     visited in order, so each edge comes out as (u, v, j) with u <= v,
     and u == v (a repeated index, so not diverse) is rejected as a loop.
     """
-    where: dict[int, list[int]] = {}
-    for vi, block in enumerate(partition.blocks):
+    blocks = partition.blocks
+    # coverage puts each index 1..n in exactly two places
+    n = sum(map(len, blocks)) // 2
+    first: list[int | None] = [None] * (n + 1)  # by label: the block it first sits in
+    edges: list = [None] * n
+    for vi, block in enumerate(blocks):
         for idx in block:
-            where.setdefault(idx, []).append(vi)
-    edges = tuple((pair[0], pair[1], idx) for idx, pair in sorted(where.items()))
-    return LabeledMultigraph(len(partition.blocks), edges)
+            u = first[idx]
+            if u is None:
+                first[idx] = vi
+            else:
+                edges[idx - 1] = (u, vi, idx)
+    return LabeledMultigraph(len(blocks), tuple(edges))
 
 
 def graph_to_partition(graph: LabeledMultigraph) -> Partition:
@@ -83,10 +91,18 @@ def graph_to_partition(graph: LabeledMultigraph) -> Partition:
 
 def export_dot(graph: LabeledMultigraph, name: str = "partition") -> str:
     """DOT text for the multigraph: stable numbering, one edge per line."""
-    lines = [f"graph {name} {{"]
-    for v in range(graph.vertex_count):
-        lines.append(f"  v{v};")
-    for u, v, lab in graph.edges:
-        lines.append(f'  v{u} -- v{v} [label="{lab}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = "".join(map(_edge_line, graph.edges))
+    return f"graph {name} {{\n{_vertex_lines(graph.vertex_count)}{edges}}}\n"
+
+
+# The graphs of one enumeration share their few vertex counts and edges,
+# so each line is formatted once.
+@lru_cache(maxsize=64)
+def _vertex_lines(count: int) -> str:
+    return "".join([f"  v{v};\n" for v in range(count)])
+
+
+@lru_cache(maxsize=4096)
+def _edge_line(edge: tuple[int, int, int]) -> str:
+    u, v, lab = edge
+    return f'  v{u} -- v{v} [label="{lab}"];\n'

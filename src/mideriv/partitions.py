@@ -18,16 +18,20 @@ brute-force walk over labeled set partitions are kept beside the tests
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import SizeLimitError, ValidationError, integer
 
 # Enumeration guard.  The count grows fast (1, 3, 16, 139, 1750, 29388,
-# 624889) and every result is held in memory: n = 7 takes 12-15 s and
-# 200 MB on a 2-CPU machine under CPython 3.11, and n = 8 does not finish.
-# forms.tau_symbolic keeps the same slot limit.
+# 624889) and every result is held in memory: on a 2-CPU machine under
+# CPython 3.11, enumerate_diverse(7) takes about 6 s and 205 MB, and
+# `mideriv partitions --n 7 --format json` about 11 s and 840 MB for its
+# 38 MB of output; n = 8 does not finish.  forms.tau_symbolic keeps the
+# same slot limit.
 ENUMERATION_LIMIT = 7
 
 Block = tuple[int, ...]
@@ -38,6 +42,12 @@ def canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[Block, ...]:
     # lexicographic first, then a stable sort by size, largest first
     inner = sorted(tuple(sorted(b)) for b in blocks)
     return tuple(sorted(inner, key=len, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _doubled_indices(length: int) -> list[int]:
+    """[1, 1, 2, 2, ..., n, n] for length 2n (read it, never change it)."""
+    return [i // 2 + 1 for i in range(length)]
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,11 @@ class Partition:
             raise ValidationError("blocks: a partition needs at least one block")
         if not all(blocks):
             raise ValidationError("blocks: empty block")
-        counts = Counter(itertools.chain.from_iterable(blocks))
+        indices = sorted(itertools.chain.from_iterable(blocks))
+        if not len(indices) % 2 and indices == _doubled_indices(len(indices)):
+            return
+        # rejected: count the indices only to word the error
+        counts = Counter(indices)
         if min(counts) < 1:
             raise ValidationError("blocks: indices are 1-based")
         n = max(counts)
@@ -93,16 +107,18 @@ class Partition:
         return len(self.blocks) - len(set(self.blocks))
 
     def to_dict(self) -> dict:
-        return {"blocks": [list(b) for b in self.blocks], "s": self.s}
+        return {"blocks": list(map(list, self.blocks)), "s": self.s}
 
     def __str__(self) -> str:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
 # A unit of a programme state is one raw block value with its content
-# mapped through the slot binding: (content, doubled), doubled when the
-# raw value occurs twice (an identical pair).
-Unit = tuple[Block, bool]
+# mapped through the slot binding: (-len(content), content, doubled),
+# doubled when the raw value occurs twice (an identical pair).  The
+# negated size leads, so a sorted state lists its units in canonical
+# block order (size descending, then lexicographic).
+Unit = tuple[int, Block, bool]
 State = tuple[Unit, ...]
 
 
@@ -126,10 +142,11 @@ def _slot_moves(state: State, var: int):
     # what one copy of var makes of each run's unit
     one = []
     for i in starts:
-        c, d = state[i]
-        one.append(((c + (var,), False), (c, False)) if d else ((c + (var,), False),))
+        size, c, d = state[i]
+        grown = (size - 1, c + (var,), False)
+        one.append((grown, (size, c, False)) if d else (grown,))
 
-    fresh = ((var,), False)
+    fresh = (-1, (var,), False)
     for a, pa in enumerate(starts):
         ca = ends[a] - pa
         rest = state[:pa] + state[pa + 1 :]
@@ -139,11 +156,11 @@ def _slot_moves(state: State, var: int):
             pb = starts[b] - 1  # its position in rest
             added = one[a] + one[b]
             yield tuple(sorted(rest[:pb] + rest[pb + 1 :] + added)), ca * (ends[b] - starts[b])
-        c, d = state[pa]
+        size, c, d = state[pa]
         if d:
-            yield tuple(sorted(rest + ((c + (var,), True),))), ca
+            yield tuple(sorted(rest + ((size - 1, c + (var,), True),))), ca
         yield tuple(sorted(rest + one[a] + (fresh,))), ca
-    yield tuple(sorted(state + (((var,), True),))), 1
+    yield tuple(sorted(state + ((-1, (var,), True),))), 1
 
 
 def slot_states(variables: Iterable[int], min_block_size: int) -> dict[State, int]:
@@ -168,27 +185,33 @@ def slot_states(variables: Iterable[int], min_block_size: int) -> dict[State, in
     n = len(ordered)
     states: dict[State, int] = {(): 1}
     for i, var in enumerate(ordered):
-        room = 2 * (n - 1 - i)
         nxt: dict[State, int] = {}
         for state, mult in states.items():
             for key, ways in _slot_moves(state, var):
-                if min_block_size == 2 and sum(1 + d for c, d in key if len(c) == 1) > room:
-                    continue
                 nxt[key] = nxt.get(key, 0) + mult * ways
+        if min_block_size == 2:
+            room = 2 * (n - 1 - i)
+            nxt = {
+                key: mult for key, mult in nxt.items() if sum(1 + d for size, _, d in key if size == -1) <= room
+            }
         states = nxt
     return states
 
 
+_content = operator.itemgetter(1)
+_doubled = operator.itemgetter(2)
+
+
 def state_blocks(state: State) -> tuple[Block, ...]:
     """The canonical block tuple of a state; a doubled unit gives two blocks."""
-    # lexicographic first (units arrive sorted), then a stable sort by
-    # size, largest first
-    doubled = [c for c, d in state if d]
-    blocks = [c for c, _ in state]
-    if doubled:
-        blocks += doubled
-        blocks.sort()
-    blocks.sort(key=len, reverse=True)
+    # the units are already in canonical block order
+    if not any(map(_doubled, state)):
+        return tuple(map(_content, state))
+    blocks = []
+    for _, c, d in state:
+        blocks.append(c)
+        if d:
+            blocks.append(c)
     return tuple(blocks)
 
 
@@ -213,9 +236,13 @@ def enumerate_diverse(n: int, min_block_size: int = 1) -> list[Partition]:
         raise SizeLimitError(f"n={n}: supported enumeration range is 1..{ENUMERATION_LIMIT}")
     if min_block_size not in (1, 2):
         raise ValidationError(f"min_block_size: got {min_block_size!r}, expected 1 or 2")
-    # the programme at the distinct binding: each state is one partition
-    found = map(state_blocks, slot_states(range(1, n + 1), min_block_size))
-    return [Partition._canonical(p) for p in sorted(found, key=lambda p: (len(p), p))]
+    # the programme at the distinct binding: each state is one partition;
+    # bucketed by block count, each bucket sorts by plain tuple comparison
+    by_count: dict[int, list[tuple[Block, ...]]] = {}
+    for state in slot_states(range(1, n + 1), min_block_size):
+        blocks = state_blocks(state)
+        by_count.setdefault(len(blocks), []).append(blocks)
+    return [Partition._canonical(p) for k in sorted(by_count) for p in sorted(by_count[k])]
 
 
 def set_partitions(items: list) -> Iterator[list[list]]:

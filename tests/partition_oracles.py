@@ -10,8 +10,13 @@ differently, for the tests to compare against:
 * ``brute_force_diverse`` walks every set partition of 2n labeled
   positions and keeps the diverse ones (Bell(2n) partitions, so n <= 5
   is practical).
+
+``coverage_error`` states the coverage rule of ``Partition`` by counting,
+as the oracle of the constructor's check.
 """
 from __future__ import annotations
+
+from collections import Counter
 
 from mideriv.partitions import Partition, set_partitions
 
@@ -79,3 +84,22 @@ def brute_force_diverse(n: int) -> list[Partition]:
             continue
         seen.add(tuple(sorted(blocks)))
     return _sorted_partitions(seen)
+
+
+def coverage_error(blocks: list[list[int]]) -> str | None:
+    """None when integer blocks cover {1, 1, ..., n, n}, else the ValidationError text.
+
+    Counts every index: each of 1..max must appear exactly twice, in
+    nonempty blocks, and no index may be below 1.
+    """
+    if not blocks:
+        return "blocks: a partition needs at least one block"
+    if not all(blocks):
+        return "blocks: empty block"
+    counts = Counter(i for b in blocks for i in b)
+    if min(counts) < 1:
+        return "blocks: indices are 1-based"
+    for i in range(1, max(counts) + 1):
+        if counts[i] != 2:
+            return f"blocks: index {i} appears {counts[i]} times, expected exactly 2 (doubled multiset)"
+    return None

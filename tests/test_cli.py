@@ -1,6 +1,8 @@
 """The mideriv command: outputs, formats, exit codes, error stream."""
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 import math
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import mideriv
-from mideriv import closedform
+from mideriv import cli, closedform
 from mideriv.cli import main
 from mideriv.partitions import enumerate_diverse
 from mideriv.verify import default_derivative_cases, verify_derivatives
@@ -187,6 +189,20 @@ def test_tau_refuses_the_other_modes_flags(capsys, dist_file):
         assert err.startswith(f"mideriv: error[validation]: {named}:"), flags
 
 
+def test_tau_symbolic_refuses_quad_order(capsys, dist_file):
+    # a given order is refused even when it is the default; numeric mode
+    # still refuses an order outside the rule's range
+    for order in ("0", "64"):
+        code, out, err = run(capsys, "tau", "--multiplicities", "2", "--symbolic", "--quad-order", order)
+        assert code == 2, order
+        assert out == "", order
+        assert err.startswith("mideriv: error[validation]: --quad-order:"), order
+    code, out, err = run(capsys, "tau", "--multiplicities", "2", "--dist", dist_file, "--snr", "0.8", "--quad-order", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mideriv: error[domain]:")
+
+
 def test_tau_numeric_without_dist_is_an_error(capsys):
     code, _, err = run(capsys, "tau", "--multiplicities", "2")
     assert code == 2
@@ -353,3 +369,77 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "partitions" in out
+
+
+# SHA-256 of standard output, recorded before the exact-combinatorics path
+# was reworked for speed; every byte of these outputs must stay the same.
+OUTPUT_DIGESTS = {
+    ("partitions", "--n", "5", "--graphs", "--format", "json"):
+        "f3aaa40a8c8e937c4c3256ddd3cb965fe7eae928a1074f2d580f35041b537aaf",
+    ("partitions", "--n", "4", "--min-block-size", "2", "--format", "dot"):
+        "06baa1a67ba335fe75afcbe8533f77933ba46a4975ee5ff6a6f0c38554f7345e",
+    ("tau", "--multiplicities", "2,1,1,1", "--symbolic", "--format", "json"):
+        "d1fa3a9672e30ae15611be0f13392a0baf35226e460a36bc68b42cc4cfd4460b",
+    ("tau", "--multiplicities", "2,1,1,1", "--symbolic", "--format", "json", "--bar"):
+        "332e220f44af40b5eba5c2939c846010d64d21da04b524183d805364b5a10163",
+    ("tau", "--multiplicities", "1,1,1,1,1", "--symbolic"):
+        "32b584406dc77487b318109e34a7a407ce399e0456f8817bf3486ad79009415a",
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_DIGESTS), ids=" ".join)
+def test_exact_outputs_keep_their_bytes(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTPUT_DIGESTS[argv]
+
+
+@pytest.fixture()
+def restore_collector():
+    # each test below sets the collector itself; put the test run's setting back
+    before = gc.isenabled()
+    yield
+    if before:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("partitions", "--n", "3"), 0),
+        (("partitions", "--n", "9"), 2),  # error[size-limit]
+        (("tau", "--no-such-flag"), 2),  # argparse exits
+    ],
+    ids=["success", "error", "usage"],
+)
+def test_main_gives_back_an_enabled_collector(capsys, restore_collector, argv, expected):
+    gc.enable()
+    assert main(list(argv)) == expected
+    capsys.readouterr()
+    assert gc.isenabled()
+
+
+def test_main_pauses_the_collector_during_the_command(capsys, restore_collector, monkeypatch):
+    seen = []
+
+    def enumerate_and_look(*args):
+        seen.append(gc.isenabled())
+        return enumerate_diverse(*args)
+
+    monkeypatch.setattr(cli, "enumerate_diverse", enumerate_and_look)
+    gc.enable()
+    assert main(["partitions", "--n", "3"]) == 0
+    capsys.readouterr()
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_main_leaves_a_disabled_collector_disabled(capsys, restore_collector):
+    gc.disable()
+    assert main(["partitions", "--n", "3"]) == 0
+    assert main(["partitions", "--n", "9"]) == 2
+    assert main(["tau", "--no-such-flag"]) == 2
+    capsys.readouterr()
+    assert not gc.isenabled()

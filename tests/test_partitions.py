@@ -5,11 +5,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mideriv.errors import SizeLimitError, ValidationError
 from mideriv.partitions import Partition, enumerate_diverse, set_partitions, slot_states
 
-from partition_oracles import brute_force_diverse, recursive_diverse
+from partition_oracles import brute_force_diverse, coverage_error, recursive_diverse
 
 KNOWN_COUNTS = {1: 1, 2: 3, 3: 16, 4: 139, 5: 1750, 6: 29388}
 BELL = [1, 1, 2, 5, 15, 52, 203]
@@ -88,6 +90,39 @@ def test_partition_rejects_bad_coverage():
         Partition(((1, 2), (2, 3), (3, 4), (4, 5)))  # ids 1 and 5 once
     with pytest.raises(ValidationError):
         Partition(())
+
+
+@st.composite
+def near_covers(draw):
+    """Blocks cut from {1, 1, ..., n, n}, with an index sometimes added or dropped."""
+    n = draw(st.integers(1, 4))
+    indices = [i for i in range(1, n + 1) for _ in range(2)]
+    change = draw(st.sampled_from(["none", "none", "add", "drop"]))
+    if change == "add":
+        indices.append(draw(st.integers(-1, n + 1)))
+    elif change == "drop":
+        indices.pop(draw(st.integers(0, len(indices) - 1)))
+    indices = draw(st.permutations(indices))
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, len(indices) - 1)))))
+    bounds = [0, *cuts, len(indices)]
+    return [indices[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+small_blocks = st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_blocks, near_covers()))
+def test_coverage_check_agrees_with_counting(blocks):
+    # Partition accepts exactly the covers the counting oracle accepts,
+    # and words every rejection as the oracle does
+    expected = coverage_error(blocks)
+    if expected is None:
+        assert Partition(blocks).blocks == tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: (-len(b), b)))
+    else:
+        with pytest.raises(ValidationError) as info:
+            Partition(blocks)
+        assert str(info.value) == expected
 
 
 def test_partition_rejects_non_integer_indices():
