@@ -48,6 +48,7 @@ from .errors import (
     SizeLimitError,
     ValidationError,
     integer,
+    real,
 )
 from .forms import MomentOracle, SlotBinding, tau_symbolic
 
@@ -57,7 +58,6 @@ MIN_QUAD_ORDER = 16
 MAX_QUAD_ORDER = 300
 DEFAULT_QUAD_ORDER = 64
 MAX_ATOMS = 64
-MAX_TENSOR_DIM = 3
 # Joint cap on atoms * order**rank, counted on the unpruned grid so the
 # limits do not depend on GRID_WEIGHT_FLOOR: G holds one float per atom
 # and grid point.  2**24 (128 MB for G) still admits 64 atoms on a
@@ -160,21 +160,31 @@ def gauss_hermite(order: int) -> QuadratureRule:
     return _RULES[order]
 
 
+def _real_array(value, field: str) -> np.ndarray:
+    """value as a float array whose every entry passed errors.real."""
+    try:
+        entries = np.asarray(value, dtype=object)
+    except ValueError as exc:
+        raise ValidationError(f"{field}: not a rectangular numeric array ({exc})") from exc
+    return np.array([real(x, ValidationError, field) for x in entries.flat]).reshape(entries.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteJoint:
     """Finitely supported joint law of the channel input vector.
 
     Zero-probability atoms are dropped and duplicate support points are
     merged (masses summed) at construction; probabilities must be
-    nonnegative and sum to 1 within 1e-12.
+    nonnegative and sum to 1 within 1e-12.  Every entry must be a real
+    number (errors.real): strings and booleans are refused, not parsed.
     """
 
     support: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
+        support = _real_array(self.support, "support")
+        probs = _real_array(self.probs, "probs")
         if support.ndim != 2:
             raise ValidationError(f"support: expected a 2-D array of points, got shape {support.shape}")
         if support.shape[1] < 1:
@@ -234,15 +244,7 @@ class DiscreteJoint:
             if key not in data:
                 raise ValidationError(f"{key}: missing")
         declared = integer(data["n"], ValidationError, "n")
-        try:
-            support = np.asarray(data["support"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"support: not a rectangular numeric array ({exc})") from exc
-        try:
-            probs = np.asarray(data["probs"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"probs: not a numeric array ({exc})") from exc
-        dist = cls(support, probs)
+        dist = cls(data["support"], data["probs"])
         if declared != dist.n:
             raise ValidationError(f"n: declared {declared} but support points have {dist.n} coordinates")
         return dist
@@ -250,14 +252,15 @@ class DiscreteJoint:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Per-channel signal-to-noise ratios."""
+    """Per-channel signal-to-noise ratios: at least one, each a finite
+    real number >= 0 (errors.real: strings and booleans are refused)."""
 
     snr: tuple[float, ...]
 
     def __post_init__(self) -> None:
         try:
-            snr = tuple(float(x) for x in self.snr)
-        except (TypeError, ValueError) as exc:
+            snr = tuple(real(x, ValidationError, "snr") for x in self.snr)
+        except TypeError as exc:
             raise ValidationError(f"snr: not a sequence of numbers ({exc})") from exc
         if not snr:
             raise ValidationError("snr: needs at least one channel")
@@ -282,6 +285,8 @@ _DIAGONALS = {
     2: np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0),
     3: np.array([[-1.0, 2.0, 2.0], [2.0, -1.0, 2.0], [2.0, 2.0, -1.0]]) / 3.0,
 }
+# Quadrature paths support the spans a turn is given for.
+MAX_TENSOR_DIM = max(_DIAGONALS)
 # Every sign pattern of r grid axes, in itertools.product order.
 _SIGN_PATTERNS = {r: np.array(list(itertools.product((1.0, -1.0), repeat=r))) for r in _DIAGONALS}
 # Principal axes whose singular values are closer than this (relative to

@@ -36,6 +36,11 @@ def _emit_error(code: str, message: str) -> int:
     return 2
 
 
+def _header(command: str) -> dict:
+    """The keys every command payload starts with."""
+    return {"schema": SCHEMA_VERSION, "command": command}
+
+
 def _print_json(payload: dict) -> None:
     # No indent: with one, the json module leaves its C encoder for the
     # pure-Python one, several times slower on large expansions.
@@ -70,8 +75,7 @@ def cmd_partitions(args: argparse.Namespace) -> int:
         dots = [export_dot(partition_to_graph(p), name=f"p{i}") for i, p in enumerate(parts)]
     if args.format == "json":
         payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "partitions",
+            **_header("partitions"),
             "n": args.n,
             "min_block_size": args.min_block_size,
             "count": len(parts),
@@ -116,8 +120,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
         expansion = tau_symbolic(binding, min_block_size=2 if args.bar else 1)
         if args.format == "json":
             payload = {
-                "schema": SCHEMA_VERSION,
-                "command": "tau",
+                **_header("tau"),
                 "mode": "symbolic",
                 "multiplicities": list(multiplicities),
                 "centered": bool(args.bar),
@@ -132,22 +135,20 @@ def cmd_tau(args: argparse.Namespace) -> int:
     if not args.dist or args.snr is None:
         raise ValidationError("dist: numeric mode needs --dist FILE and --snr (or pass --symbolic)")
     dist = _load_dist(args.dist)
-    snr = _parse_list(args.snr, "snr", float)
-    spec = ChannelSpec(snr)
+    request = DerivativeRequest(multiplicities, _parse_list(args.snr, "snr", float))
     quad_order = DEFAULT_QUAD_ORDER if args.quad_order is None else args.quad_order
     quad = gauss_hermite(quad_order)
-    value = partition_formula(dist, spec, multiplicities, quad)
+    value = partition_formula(dist, request, quad)
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "tau",
+        **_header("tau"),
         "mode": "numeric",
-        "multiplicities": list(multiplicities),
-        "snr": list(snr),
+        "multiplicities": list(request.orders),
+        "snr": list(request.point),
         "quad_order": quad_order,
         "value": value,
     }
     if not args.no_fd:
-        fd_value, fd_error = fd_mi_partial(dist, DerivativeRequest(multiplicities, snr), quad)
+        fd_value, fd_error = fd_mi_partial(dist, request, quad)
         payload["fd"] = fd_value
         payload["fd_error"] = fd_error
         payload["gap"] = abs(fd_value - value)
@@ -167,15 +168,7 @@ def cmd_mi(args: argparse.Namespace) -> int:
     spec = ChannelSpec(snr)
     value = mutual_information(dist, spec, gauss_hermite(args.quad_order))
     if args.format == "json":
-        _print_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "mi",
-                "snr": list(snr),
-                "quad_order": args.quad_order,
-                "value": value,
-            }
-        )
+        _print_json({**_header("mi"), "snr": list(snr), "quad_order": args.quad_order, "value": value})
     else:
         print(f"mutual information: {value!r} nats")
     return 0

@@ -87,6 +87,12 @@ def half_log_derivative(k: int, at: Fraction = Fraction(0)) -> Fraction:
     return c / (1 + Fraction(at)) ** p
 
 
+# Bounds of random_rational_joint's laws: the lowest and highest
+# coordinate, and the fewest and most atoms.
+COORDINATE_RANGE = (-2, 2)
+ATOM_COUNT_RANGE = (2, 5)
+
+
 def random_rational_joint(
     rng: random.Random, dim: int, atom_count: int | None = None
 ) -> tuple[list[tuple[int, ...]], list[Fraction]]:
@@ -97,8 +103,9 @@ def random_rational_joint(
     denominator is at most 60.  Deterministic for a given rng state.
     """
     if atom_count is None:
-        atom_count = rng.randint(2, 5)
-    universe = sorted(itertools.product(range(-2, 3), repeat=dim))
+        atom_count = rng.randint(*ATOM_COUNT_RANGE)
+    low, high = COORDINATE_RANGE
+    universe = sorted(itertools.product(range(low, high + 1), repeat=dim))
     atoms = rng.sample(universe, atom_count)
     weights = [rng.randint(1, 12) for _ in atoms]
     denom = sum(weights)

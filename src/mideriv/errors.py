@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the integer check they share."""
+"""Exception types shared across the package, and the number checks they share."""
+import numbers
 import operator
 
 
@@ -38,3 +39,14 @@ def integer(value, error: type[ValueError], field: str) -> int:
         except TypeError:
             pass
     raise error(f"{field}: expected an integer, got {value!r}")
+
+
+def real(value, error: type[ValueError], field: str) -> float:
+    """value as a float, or error when it is not a real number or is a bool.
+
+    numpy numbers and Fractions pass; strings are refused instead of parsed.
+    """
+    # floats (numpy's included) first: the ABC check costs about a microsecond
+    if isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        return float(value)
+    raise error(f"{field}: expected a real number, got {value!r}")

@@ -1,14 +1,14 @@
 """High-order central finite differences with Richardson extrapolation.
 
-Stencil weights are computed exactly (Fractions) by the classic
-Fornberg recurrence; mixed partials tensor the per-axis stencils.  The
-base stencils are order-8 accurate per axis, and Richardson
-extrapolation across step halvings removes the leading error terms, so
-the error estimate (the magnitude of the last tableau correction) is
-usually conservative for analytic integrands.
+Stencil weights are computed exactly (Fractions) by the classic Fornberg
+recurrence; mixed partials tensor the per-axis stencils.  The base stencils are
+order-8 accurate per axis, and Richardson extrapolation across step halvings
+removes the leading error terms, so the error estimate (the magnitude of the
+last tableau correction) is usually conservative for analytic integrands.
+check_partial states what a partial is, for fd_partial and DerivativeRequest.
 
-The step is worked out from the point, min(BASE_STEP, 0.9 * lowest
-active coordinate / widest stencil half-width).  The estimate covers
+The step is worked out from the point, min(BASE_STEP, STEP_FRACTION *
+lowest active coordinate / widest stencil half-width).  The estimate covers
 truncation, not roundoff: order 4 of (1/2) log(1+x) at 0.05 is off by
 2.4e-6 with an estimate of 2.3e-9.
 
@@ -26,13 +26,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .errors import DomainError, integer
+from .errors import DomainError, integer, real
 
 # Per-axis truncation order of the base stencils; Richardson columns
 # then cancel h**8, h**10, ... terms (central stencils gain powers of 2).
 ACCURACY_ORDER = 8
-# Largest base step, and the number of step halvings in the tableau.
+# Largest base step, the share of the lowest active coordinate the widest
+# stencil may span, and the number of step halvings in the tableau.
 BASE_STEP = 0.2
+STEP_FRACTION = 0.9
 RICHARDSON_LEVELS = 3
 
 
@@ -93,6 +95,19 @@ def central_stencil(d: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     return offsets, tuple(fornberg_weights(d, offsets))
 
 
+def check_partial(orders: Sequence[int], point: Sequence[float]) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Integer orders >= 0 adding up to >= 1, one per real coordinate, as tuples; else DomainError."""
+    orders = tuple(integer(k, DomainError, "orders") for k in orders)
+    point = tuple(real(x, DomainError, "point") for x in point)
+    if len(orders) != len(point):
+        raise DomainError(f"orders {orders} and point {point} differ in length")
+    if any(k < 0 for k in orders):
+        raise DomainError(f"orders {orders}: negative derivative order")
+    if sum(orders) < 1:
+        raise DomainError("orders: at least one axis needs a positive order")
+    return orders, point
+
+
 def fd_partial(
     f: Callable[[list[tuple[float, ...]]], Sequence[float]],
     orders: Sequence[int],
@@ -108,8 +123,8 @@ def fd_partial(
     orders : per-axis derivative orders; zeros skip the axis.
     point : evaluation point, same length as orders.
 
-    The base step is min(BASE_STEP, 0.9 * lowest active coordinate /
-    widest stencil half-width), and RICHARDSON_LEVELS halvings of it
+    The base step is min(BASE_STEP, STEP_FRACTION * lowest active
+    coordinate / widest stencil half-width), and RICHARDSON_LEVELS halvings of it
     enter the tableau, so every sample keeps its active coordinates
     above 0.
 
@@ -119,23 +134,16 @@ def fd_partial(
     Richardson correction; roundoff, which grows like eps / h**order,
     is not in it.
 
-    Raises DomainError when an active coordinate is not positive.
+    Raises DomainError as check_partial does, or when an active coordinate is not positive.
     """
-    orders = tuple(integer(k, DomainError, "orders") for k in orders)
-    point = tuple(float(x) for x in point)
-    if len(orders) != len(point):
-        raise DomainError(f"orders {orders} and point {point} differ in length")
-    if any(k < 0 for k in orders):
-        raise DomainError(f"orders {orders}: negative derivative order")
+    orders, point = check_partial(orders, point)
     total = sum(orders)
-    if total < 1:
-        raise DomainError("orders: at least one axis needs a positive order")
     axes = [i for i, k in enumerate(orders) if k > 0]
     low = min(point[i] for i in axes)
     if not low > 0.0:
         raise DomainError(f"point {point}: active coordinates must be positive")
     reach = max(stencil_halfwidth(orders[i]) for i in axes)
-    step = min(BASE_STEP, 0.9 * low / reach)
+    step = min(BASE_STEP, STEP_FRACTION * low / reach)
     # the tensored stencil, built once: per-axis offsets and the float of
     # each nonzero exact weight product, shared by every level
     stencil = []

@@ -1,12 +1,13 @@
 """Cross-checking suites and machine-readable verification reports.
 
-The central suite finite-differences the directly computed mutual
-information and compares against the partition-form right-hand sides
-(first order through mmse/2, higher orders through the conditional
-form, centered and uncentered).  The remaining suites check the
-algebraic identities (multiquadratic behavior, snr additivity under
-signal duplication, the Gaussian zero-snr chain, and the two
-moment-cumulant routes), mostly in exact rational arithmetic.
+The central suite finite-differences the directly computed mutual information
+and compares against the partition-form right-hand sides (first order through
+mmse/2, higher orders through the conditional form, centered and uncentered);
+both take one DerivativeRequest, and fd_mi_partial checks the range finite
+differences cover.  The remaining suites check the algebraic identities
+(multiquadratic behavior, snr additivity under signal duplication, the Gaussian
+zero-snr chain, and the two moment-cumulant routes), mostly in exact rational
+arithmetic.
 
 Reports are deterministic for a given (seed, config): no
 timestamps, fixed case order, fixed serialization.
@@ -31,8 +32,8 @@ from .channel import (
     mutual_information,
     mutual_information_many,
 )
-from .errors import DomainError, ValidationError, integer
-from .fd import BASE_STEP, RICHARDSON_LEVELS, fd_partial
+from .errors import DomainError, ValidationError
+from .fd import BASE_STEP, RICHARDSON_LEVELS, STEP_FRACTION, check_partial, fd_partial
 from .forms import (
     SlotBinding,
     atoms_moment_oracle,
@@ -43,9 +44,10 @@ from .forms import (
     univariate_moment_oracle,
 )
 
-# Gap budget per total derivative order; the fd error estimate must also
-# stay below the same figure for a case to pass.
+# Gap budget per total order finite differences cover (at snr up to FD_MAX_SNR);
+# the fd error estimate must also stay below the same figure for a case to pass.
 TOLERANCE_BY_ORDER = {1: 1e-8, 2: 1e-7, 3: 1e-5, 4: 1e-3}
+FD_MAX_SNR = 4.0
 CENTERING_TOL = 1e-11
 COMBINE_TOL = 1e-10
 LEMMA2_QUAD_ORDER = 64
@@ -62,28 +64,15 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class DerivativeRequest:
-    """One mixed partial to check: per-axis orders at an snr point."""
+    """One mixed partial of I: orders (fd.check_partial) at an snr point (ChannelSpec)."""
 
     orders: tuple[int, ...]
     point: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        orders = tuple(integer(k, DomainError, "orders") for k in self.orders)
-        point = tuple(float(x) for x in self.point)
+        orders, point = check_partial(self.orders, ChannelSpec(self.point).snr)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "point", point)
-        if len(orders) != len(point):
-            raise DomainError(f"orders {orders} and point {point} differ in length")
-        if any(k < 0 for k in orders):
-            raise DomainError(f"orders {orders}: negative entry")
-        total = sum(orders)
-        if not 1 <= total <= 4:
-            raise DomainError(f"total order {total}: finite differences cover 1..4")
-        for i, (k, lam) in enumerate(zip(orders, point)):
-            if k > 0 and not 0.0 < lam <= 4.0:
-                raise DomainError(f"point[{i}]={lam}: active coordinates must lie in (0, 4]")
-            if k == 0 and not 0.0 <= lam <= 4.0:
-                raise DomainError(f"point[{i}]={lam}: coordinates must lie in [0, 4]")
 
     @property
     def total_order(self) -> int:
@@ -227,22 +216,21 @@ def default_derivative_cases(seed: int = 0) -> list[DerivativeCase]:
 
 def partition_formula(
     dist: DiscreteJoint,
-    spec: ChannelSpec,
-    orders: tuple[int, ...],
+    request: DerivativeRequest,
     quad: QuadratureRule,
     centered: bool = True,
 ) -> float:
-    """The formula side of the check: the partial of I with these orders.
+    """The formula side of the check: the requested partial of I.
 
     Total order 1 is mmse/2 of the active channel (the adopted
     convention); higher orders are the output average of the
-    conditional partition form, centered or not.  Orders may exceed the
-    range finite differences cover.
+    conditional partition form, centered or not, at any order and snr;
+    a request on another channel count than the law's raises DomainError.
     """
-    if sum(orders) == 1:
-        channel = next(i for i, k in enumerate(orders) if k > 0) + 1
-        return 0.5 * mmse(dist, spec, channel=channel, quad=quad)
-    binding = SlotBinding.from_multiplicities(orders)
+    spec = ChannelSpec(request.point)
+    if request.total_order == 1:
+        return 0.5 * mmse(dist, spec, channel=request.orders.index(1) + 1, quad=quad)
+    binding = SlotBinding.from_multiplicities(request.orders)
     return expected_conditional_tau(dist, spec, binding, centered=centered, quad=quad)
 
 
@@ -254,13 +242,20 @@ def fd_mi_partial(
 ) -> tuple[float, float]:
     """The fd side of the check: (value, error estimate) of the partial.
 
-    Finite-differences the directly computed mutual information by
-    fd_partial, which works out the step from the point and asks for all
-    its distinct points at once; the ones memo lacks go to
-    mutual_information_many in one batch.  memo maps snr points to mi
-    values and is the only store of samples; share it only between
-    requests on the same law and rule.
+    Refuses (DomainError) a total order TOLERANCE_BY_ORDER has no budget for,
+    an snr above FD_MAX_SNR or an active snr of 0.  Finite-differences the directly
+    computed mutual information by fd_partial, which works out the step from the
+    point and asks for all its distinct points at once; the ones memo lacks go to
+    mutual_information_many in one batch.  memo maps snr points to mi values and is
+    the only store of samples; share it only between requests on the same law and rule.
     """
+    if request.total_order not in TOLERANCE_BY_ORDER:
+        raise DomainError(f"total order {request.total_order}: finite differences cover 1..{max(TOLERANCE_BY_ORDER)}")
+    for i, (k, lam) in enumerate(zip(request.orders, request.point)):
+        if k > 0 and not 0.0 < lam <= FD_MAX_SNR:
+            raise DomainError(f"point[{i}]={lam}: active coordinates must lie in (0, {FD_MAX_SNR:g}]")
+        if lam > FD_MAX_SNR:
+            raise DomainError(f"point[{i}]={lam}: coordinates must lie in [0, {FD_MAX_SNR:g}]")
     if memo is None:
         memo = {}
 
@@ -318,13 +313,12 @@ def verify_derivatives(seed: int = 0, cases: list[DerivativeCase] | None = None)
         req = case.request
         quad = gauss_hermite(case.quad_order)
         memo = memos.setdefault((id(dist), case.quad_order), {})
-        tol = TOLERANCE_BY_ORDER[req.total_order]
         fd_value, fd_error = fd_mi_partial(dist, req, quad, memo)
-        spec = ChannelSpec(req.point)
-        formula = partition_formula(dist, spec, req.orders, quad)
+        tol = TOLERANCE_BY_ORDER[req.total_order]
+        formula = partition_formula(dist, req, quad)
         formula_unc = centering = None
         if req.total_order > 1:
-            formula_unc = partition_formula(dist, spec, req.orders, quad, centered=False)
+            formula_unc = partition_formula(dist, req, quad, centered=False)
             centering = abs(formula - formula_unc)
         gap = abs(fd_value - formula)
         ok = gap <= tol and fd_error <= tol and (centering is None or centering <= CENTERING_TOL)
@@ -356,7 +350,7 @@ def verify_derivatives(seed: int = 0, cases: list[DerivativeCase] | None = None)
             for c in cases
         ],
         "richardson_levels": RICHARDSON_LEVELS,
-        "step_rule": f"min({BASE_STEP}, 0.9*min_active_snr/stencil_halfwidth)",
+        "step_rule": f"min({BASE_STEP}, {STEP_FRACTION}*min_active_snr/stencil_halfwidth)",
         "tolerance_by_total_order": {str(k): v for k, v in TOLERANCE_BY_ORDER.items()},
         "centering_tolerance": CENTERING_TOL,
     }
@@ -446,7 +440,8 @@ def verify_multiquadratic(seed: int = 0) -> VerificationReport:
             "identity through tau(X+0) = tau(X-0)",
         ),
     ]
-    config = {"trials": LEMMA1_TRIALS, "support_values": [-2, 2], "max_atoms": 5, "arithmetic": "exact"}
+    support, atoms = list(closedform.COORDINATE_RANGE), closedform.ATOM_COUNT_RANGE[1]
+    config = {"trials": LEMMA1_TRIALS, "support_values": support, "max_atoms": atoms, "arithmetic": "exact"}
     return VerificationReport(suite="lemma1", seed=seed, config=config, cases=records)
 
 
@@ -461,7 +456,7 @@ def verify_snr_combining(seed: int = 0) -> VerificationReport:
     This suite uses no randomness; seed is echoed into the report.
     """
     quad = gauss_hermite(LEMMA2_QUAD_ORDER)
-    combined = DiscreteJoint([[1.0], [-1.0]], [0.5, 0.5])
+    combined = two_point_input()
     records: list[CaseRecord] = []
     for parts in [(0.3, 0.7), (0.8, 0.0), (0.2, 0.3, 0.5)]:
         d = len(parts)

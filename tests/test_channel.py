@@ -4,12 +4,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from mideriv import closedform
+from mideriv import channel, closedform
 from mideriv.channel import (
     DEFAULT_QUAD_ORDER,
     GRID_WEIGHT_FLOOR,
@@ -226,6 +228,46 @@ def test_channel_spec_validation():
         ChannelSpec((-0.1,))
     with pytest.raises(ValidationError, match="snr"):
         ChannelSpec((float("inf"),))
+
+
+def test_channel_spec_takes_real_numbers_only():
+    # "12" once read as two channels (1.0, 2.0), and ("0.5", True) as (0.5, 1.0)
+    for bad, entry in [("12", "1"), (("0.5", True), "0.5"), ((0.5, True), True), ((np.True_,), np.True_)]:
+        with pytest.raises(ValidationError, match=rf"^snr: expected a real number, got {re.escape(repr(entry))}$"):
+            ChannelSpec(bad)
+    with pytest.raises(ValidationError, match="^snr: not a sequence of numbers"):
+        ChannelSpec(0.5)
+    spec = ChannelSpec((np.float64(0.5), np.int64(2), Fraction(1, 4)))
+    assert spec.snr == (0.5, 2.0, 0.25)
+    assert all(type(x) is float for x in spec.snr)
+
+
+def test_joint_takes_real_numbers_only():
+    # [["1"], ["-1"]] with ["0.5", "0.5"] once parsed to the two-point law,
+    # and [[True], [False]] read as [[1.0], [0.0]]
+    good_support, good_probs = [[1.0], [-1.0]], [0.5, 0.5]
+    for support, probs, field in [
+        ([["1"], ["-1"]], ["0.5", "0.5"], "support"),
+        (good_support, ["0.5", "0.5"], "probs"),
+        ([[True], [False]], good_probs, "support"),
+        ([[1.0], [True]], good_probs, "support"),
+        (np.array([[True], [False]]), good_probs, "support"),
+        (good_support, [True, False], "probs"),
+        (good_support, np.array(["0.5", "0.5"]), "probs"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{field}: expected a real number"):
+            DiscreteJoint(support, probs)
+        with pytest.raises(ValidationError, match=f"^{field}: expected a real number"):
+            DiscreteJoint.from_dict({"n": 1, "support": support, "probs": probs})
+    with pytest.raises(ValidationError, match="^support: "):
+        DiscreteJoint([[1.0, 2.0], [1.0]], good_probs)
+    exact = DiscreteJoint([[Fraction(1)], [np.int64(-1)]], [Fraction(1, 2), np.float64(0.5)])
+    assert exact.support.tolist() == good_support and exact.probs.tolist() == good_probs
+
+
+def test_tensor_cap_is_the_largest_turned_rank():
+    # a rank with a turn onto the grid diagonals is a rank the grids take
+    assert channel.MAX_TENSOR_DIM == max(channel._DIAGONALS) == 3
 
 
 def test_mi_zero_snr_and_single_atom_are_zero():

@@ -174,6 +174,61 @@ def test_tau_numeric_past_fd_orders_needs_no_fd(capsys, dist_file):
     assert err.startswith("mideriv: error[domain]:")
 
 
+PAIR_JSON = json.dumps(
+    {"n": 2, "support": [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], "probs": [0.35, 0.15, 0.15, 0.35]}
+)
+
+
+def test_tau_refuses_a_request_that_is_no_partial_of_the_law(capsys, tmp_path):
+    # with and without the fd side: three orders are no partial on two
+    # channels (--no-fd once printed -0.23077152548035323)
+    path = tmp_path / "pair.json"
+    path.write_text(PAIR_JSON, encoding="utf-8")
+    argv = ["tau", "--multiplicities", "2,0,0", "--dist", str(path), "--snr", "0.5,0.9"]
+    for extra in ((), ("--no-fd",)):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2, extra
+        assert out == "", extra
+        assert err == "mideriv: error[domain]: orders (2, 0, 0) and point (0.5, 0.9) differ in length\n", extra
+
+
+def test_tau_fd_range_belongs_to_the_fd_side(capsys, dist_file):
+    # --no-fd prints every partial of the law; the fd side refuses the ones
+    # finite differences do not cover, with the same messages as before
+    def tau(multiplicities, snr, *extra):
+        return run(capsys, "tau", "--multiplicities", multiplicities, "--dist", dist_file, "--snr", snr, *extra)
+
+    assert tau("1", "0.0", "--no-fd") == (0, "value: 0.5\n", "")
+    for multiplicities, snr in (("7", "0.8"), ("2", "0.0"), ("1", "5"), ("5", "5")):
+        code, out, err = tau(multiplicities, snr, "--no-fd")
+        assert code == 0 and err == "", (multiplicities, snr)
+        assert math.isfinite(float(out.removeprefix("value: "))), (multiplicities, snr)
+    for multiplicities, snr, message in [
+        ("5", "0.8", "total order 5: finite differences cover 1..4"),
+        ("1", "5", "point[0]=5.0: active coordinates must lie in (0, 4]"),
+        ("1", "0.0", "point[0]=0.0: active coordinates must lie in (0, 4]"),
+    ]:
+        assert tau(multiplicities, snr) == (2, "", f"mideriv: error[domain]: {message}\n")
+    for extra in ((), ("--no-fd",)):
+        code, out, err = tau("1", "-0.1", *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("mideriv: error[validation]: snr: entry 0 is -0.1")
+
+
+def test_mi_refuses_string_and_boolean_laws(capsys, tmp_path):
+    # strings once parsed (mi 0.2885...), booleans once read as 1.0 and 0.0
+    for support, probs, field in [
+        ([["1"], ["-1"]], ["0.5", "0.5"], "support"),
+        ([[1.0], [-1.0]], ["0.5", "0.5"], "probs"),
+        ([[True], [False]], [0.5, 0.5], "support"),
+    ]:
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"n": 1, "support": support, "probs": probs}), encoding="utf-8")
+        code, out, err = run(capsys, "mi", "--dist", str(path), "--snr", "0.8")
+        assert (code, out) == (2, ""), field
+        assert err.startswith(f"mideriv: error[validation]: {field}: expected a real number"), field
+
+
 def test_tau_refuses_the_other_modes_flags(capsys, dist_file):
     cases = [
         (("--bar", "--dist", dist_file, "--snr", "0.8"), "--bar"),

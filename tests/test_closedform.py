@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mideriv import closedform
+from mideriv import closedform, verify
 from mideriv.errors import DomainError
 
 DATA = Path(__file__).parent / "data"
@@ -74,6 +74,22 @@ def test_random_rational_joint_is_seed_deterministic():
     assert sum(probs) == 1
     assert all(isinstance(p, Fraction) and p > 0 for p in probs)
     assert len(set(atoms)) == len(atoms)
+
+
+def test_random_rational_joint_keeps_its_stated_bounds():
+    # the lemma1 report's support_values and max_atoms read these bounds
+    rng = random.Random(0)
+    low, high = closedform.COORDINATE_RANGE
+    counts, coordinates = set(), set()
+    for _ in range(200):
+        atoms, _ = closedform.random_rational_joint(rng, 2)
+        counts.add(len(atoms))
+        coordinates.update(x for atom in atoms for x in atom)
+    assert counts == set(range(closedform.ATOM_COUNT_RANGE[0], closedform.ATOM_COUNT_RANGE[1] + 1))
+    assert coordinates == set(range(low, high + 1))
+    config = verify.verify_multiquadratic(seed=0).config
+    assert config["support_values"] == [low, high] == [-2, 2]
+    assert config["max_atoms"] == closedform.ATOM_COUNT_RANGE[1] == 5
 
 
 def test_random_rational_joint_atom_count_override():

@@ -4,11 +4,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mideriv import gauss_hermite, verify
 from mideriv.errors import DomainError
-from mideriv.fd import central_stencil, fd_partial, fornberg_weights, stencil_halfwidth
+from mideriv.fd import check_partial, central_stencil, fd_partial, fornberg_weights, stencil_halfwidth
 
 
 def pointwise(g):
@@ -97,6 +98,26 @@ def test_fd_validation_and_domain_guard():
     for bad in (1.5, "1", True):  # 1.5 used to give the first derivative
         with pytest.raises(DomainError, match="orders"):
             fd_partial(f, (bad,), (0.5,))
+    for bad in ("0.5", True):  # "0.5" used to be parsed, True read as 1.0
+        with pytest.raises(DomainError, match="^point: expected a real number"):
+            fd_partial(f, (1,), (bad,))
+
+
+def test_check_partial_states_the_rule_once():
+    assert check_partial((np.int64(2), 0), (np.float64(0.5), 3)) == ((2, 0), (0.5, 3.0))
+    assert all(type(x) is float for x in check_partial((1, 0), (1, Fraction(1, 2)))[1])
+    for orders, point, match in [
+        ((1, 1), (0.5,), r"^orders \(1, 1\) and point \(0\.5,\) differ in length$"),
+        ((2, -1), (0.5, 0.5), r"^orders \(2, -1\): negative derivative order$"),
+        ((0, 0), (0.5, 0.5), "^orders: at least one axis needs a positive order$"),
+        ((0.5, 0.5), (0.5, 0.5), "^orders: expected an integer"),
+        ((1,), (None,), "^point: expected a real number"),
+    ]:
+        with pytest.raises(DomainError, match=match):
+            check_partial(orders, point)
+    # the range of the point is not check_partial's: fd_partial and the
+    # lab's fd side each add their own
+    assert check_partial((1,), (-3.0,)) == ((1,), (-3.0,))
 
 
 def test_fd_mi_partial_evaluates_each_point_once(monkeypatch):

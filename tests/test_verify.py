@@ -4,13 +4,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mideriv import ChannelSpec, DiscreteJoint, closedform, gauss_hermite, verify
+from mideriv import ChannelSpec, DiscreteJoint, closedform, fd, gauss_hermite, verify
 from mideriv.errors import DomainError, ValidationError
 from mideriv.verify import (
     CENTERING_TOL,
@@ -35,15 +36,76 @@ def test_request_validation():
     with pytest.raises(DomainError):
         DerivativeRequest((0, 0), (0.5, 0.5))
     with pytest.raises(DomainError):
-        DerivativeRequest((3, 2), (0.5, 0.5))  # total 5
-    with pytest.raises(DomainError):
-        DerivativeRequest((1,), (0.0,))  # active axis at 0
-    with pytest.raises(DomainError):
         DerivativeRequest((1, 0), (0.5,))
     for bad in (1.9, "1", True):  # checked, never truncated or parsed
         with pytest.raises(DomainError, match="orders"):
             DerivativeRequest((bad,), (0.8,))
     assert DerivativeRequest((np.int64(2),), (0.8,)).orders == (2,)
+    # partials finite differences do not cover are still partials of I;
+    # fd_mi_partial refuses them (test_fd_side_refuses_what_it_cannot_cover)
+    assert DerivativeRequest((3, 2), (0.5, 0.5)).total_order == 5
+    assert DerivativeRequest((1,), (0.0,)).point == (0.0,)
+
+
+def test_request_point_follows_the_channel_snr_rule():
+    # the point goes through ChannelSpec: the same refusals, the same error type
+    for bad in ((-0.1,), (float("inf"),), ("0.5",), (True,), ()):
+        with pytest.raises(ValidationError, match="^snr: "):
+            ChannelSpec(bad)
+        with pytest.raises(ValidationError, match="^snr: "):
+            DerivativeRequest((1,) * max(len(bad), 1), bad)
+    assert DerivativeRequest((1, 0), (np.float64(0.5), 2)).point == (0.5, 2.0)
+
+
+def test_fd_side_refuses_what_it_cannot_cover():
+    law, quad = two_point_input(), gauss_hermite(16)
+    pair = verify.correlated_pair_input()
+    with pytest.raises(DomainError, match=r"^total order 5: finite differences cover 1\.\.4$"):
+        verify.fd_mi_partial(pair, DerivativeRequest((3, 2), (0.5, 0.5)), quad)
+    with pytest.raises(DomainError, match=r"^point\[0\]=0\.0: active coordinates must lie in \(0, 4\]$"):
+        verify.fd_mi_partial(law, DerivativeRequest((1,), (0.0,)), quad)
+    with pytest.raises(DomainError, match=r"^point\[0\]=5\.0: active coordinates must lie in \(0, 4\]$"):
+        verify.fd_mi_partial(law, DerivativeRequest((1,), (5.0,)), quad)
+    with pytest.raises(DomainError, match=r"^point\[1\]=4\.5: coordinates must lie in \[0, 4\]$"):
+        verify.fd_mi_partial(pair, DerivativeRequest((1, 0), (0.5, 4.5)), quad)
+    # the edges of the range are inside it
+    for request in (DerivativeRequest((1,), (4.0,)), DerivativeRequest((4,), (0.8,))):
+        value, _ = verify.fd_mi_partial(law, request, quad)
+        assert math.isfinite(value)
+    verify.fd_mi_partial(pair, DerivativeRequest((1, 0), (0.5, 0.0)), quad)
+
+
+def test_battery_refuses_an_uncovered_case_on_the_fd_side():
+    # the tolerance is read after the fd side has checked the range, so
+    # an order without a budget is a DomainError, not a missing key
+    case = DerivativeCase("two", two_point_input(), DerivativeRequest((5,), (0.8,)), 16)
+    with pytest.raises(DomainError, match="^total order 5"):
+        verify_derivatives(cases=[case])
+
+
+def test_partition_formula_takes_only_partials_of_the_law():
+    pair, quad = verify.correlated_pair_input(), gauss_hermite(64)
+    # once read as mmse_1 / 2 = 0.3035931...
+    for orders in ((2, -1), (0.5, 0.5), (True, 0)):
+        with pytest.raises(DomainError, match="orders"):
+            verify.partition_formula(pair, DerivativeRequest(orders, (0.5, 0.9)), quad)
+    # a request on another channel count than the law's
+    for orders, point in (((2, 0, 0), (0.5, 0.9)), ((1,), (0.5, 0.9))):
+        with pytest.raises(DomainError, match="differ in length"):
+            verify.partition_formula(pair, DerivativeRequest(orders, point), quad)
+    for orders, point in (((2,), (0.5,)), ((1, 0, 0), (0.5, 0.9, 0.3))):
+        with pytest.raises(DomainError, match="channels but the distribution has 2"):
+            verify.partition_formula(pair, DerivativeRequest(orders, point), quad)
+    # past the fd range the formula still answers
+    tp = two_point_input()
+    assert verify.partition_formula(tp, DerivativeRequest((1,), (0.0,)), quad) == 0.5
+    assert math.isfinite(verify.partition_formula(tp, DerivativeRequest((5,), (5.0,)), quad))
+
+
+def test_step_rule_in_the_config_reads_fd_constants(derivative_run):
+    report, _ = derivative_run
+    assert report.config["step_rule"] == "min(0.2, 0.9*min_active_snr/stencil_halfwidth)"
+    assert (fd.BASE_STEP, fd.STEP_FRACTION) == (0.2, 0.9)
 
 
 def test_tolerance_schedule_is_pinned():
@@ -114,7 +176,7 @@ def test_formula_matches_the_stored_two_point_references():
     assert sorted(data["derivatives"]) == ["1", "2", "3", "4"]
     for order, text in data["derivatives"].items():
         reference = Fraction(text)
-        value = verify.partition_formula(dist, ChannelSpec((data["snr"],)), (int(order),), quad)
+        value = verify.partition_formula(dist, DerivativeRequest((int(order),), (data["snr"],)), quad)
         assert abs(Fraction(value) - reference) <= Fraction(1, 10**13) * abs(reference), order
 
 
