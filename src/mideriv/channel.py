@@ -20,11 +20,16 @@ points whose product weight is at least GRID_WEIGHT_FLOOR = 1e-30 times
 the largest, and the points it drops carry less than 1e-29 of the
 weight.
 
-Every value is one posterior pass, _posterior_pass: per mixture
-component it builds the (A, P) logits of every atom at every grid
-point, max-subtracts and exponentiates them once, and averages either
-the log-likelihood ratio (mutual information) or a function of the
-normalised posterior weights (mmse, conditional tau).
+Every value is one posterior pass, _posterior_pass.  The logit of atom
+b in the component of atom a splits into an atom-pair part and an
+atom-by-grid-point part, so the pass takes one exp per atom pair and
+one per atom and grid point, and forms every component's sums over the
+other atoms as matmuls of the two factors.  Against each
+component's own-atom term it averages either the log-likelihood ratio
+(mutual information) or a function of the normalised posterior weights
+(mmse, conditional tau).  Entries whose own-atom term falls below
+OWN_TERM_FLOOR, where far-apart atoms leave the factors underflowing,
+are recomputed exactly by a max-subtracted log-sum-exp of their logits.
 
 The pass runs on stacks of signal sets, one set per snr row of one law.
 mutual_information_many takes many rows at once: their grid axes come
@@ -60,9 +65,10 @@ DEFAULT_QUAD_ORDER = 64
 MAX_ATOMS = 64
 # Joint cap on atoms * order**rank, counted on the unpruned grid so the
 # limits do not depend on GRID_WEIGHT_FLOOR: G holds one float per atom
-# and grid point.  2**24 (128 MB for G) still admits 64 atoms on a
-# rank-3 span at the default order 64; 64 atoms on a rank-3 span at
-# order 300 would need a 648 MB grid and a 13.8 GB G.
+# and grid point.  2**24 (128 MB for G, and for each of the one or two
+# arrays of its shape the posterior pass holds) still admits 64
+# atoms on a rank-3 span at the default order 64; 64 atoms on a rank-3
+# span at order 300 would need a 648 MB grid and a 13.8 GB G.
 MAX_GRID_ATOM_POINTS = 2**24
 # A batch of snr rows goes through the posterior pass in stacks of at
 # most this many floats per (S, A, P) grid array and (S, A, A, n)
@@ -76,6 +82,12 @@ MAX_STACK_ELEMENTS = 2**15
 # at most that bound times the dropped weight: far below float64
 # roundoff of the kept sum.
 GRID_WEIGHT_FLOOR = 1e-30
+# The posterior pass sums a component's terms as products K * F of
+# factors at most 1, against its own-atom term T.  Where T is at least
+# this floor, a product that underflows to 0 or to a subnormal is below
+# 1e-28 of T, so it cannot move the sum; an entry whose T falls below
+# the floor is recomputed by a log-sum-exp of its logits.
+OWN_TERM_FLOOR = 1e-280
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -147,9 +159,12 @@ _RULES: dict[int, QuadratureRule] = {}
 
 
 def gauss_hermite(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule renormalized to the standard normal weight."""
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise DomainError(f"order={order!r}: expected an integer")
+    """Gauss-Hermite rule renormalized to the standard normal weight.
+
+    order is read by errors.integer: numpy integers pass, and booleans
+    and floats raise DomainError.
+    """
+    order = integer(order, DomainError, "order")
     if not MIN_QUAD_ORDER <= order <= MAX_QUAD_ORDER:
         raise DomainError(
             f"order={order}: supported range is {MIN_QUAD_ORDER}..{MAX_QUAD_ORDER}"
@@ -456,6 +471,36 @@ def _grid_parts(dist: DiscreteJoint, snrs, quad: QuadratureRule | None):
             yield rows[lo : lo + step], logp, D, G, W
 
 
+def _exact_entries(logp, D, G, a, low, out) -> None:
+    """Recompute component a of the posterior pass exactly where low is set.
+
+    low (S, P) marks the grid points of each set whose own-atom term fell
+    below OWN_TERM_FLOOR.  Their logits are formed as the loops take
+    them, G[b] - G[a] before logp[b] - D[a, b] is added so that a large
+    signal does not round away the log masses, and max-subtracted before
+    exp.  out, component a's llr (S, P) or normalised weights (S, A, P),
+    is overwritten at those points.  The points go in blocks of at most
+    MAX_STACK_ELEMENTS logits, so the fallback holds no grid-sized array.
+    """
+    s_all, g_all = np.nonzero(low)
+    c = logp - D[:, a]
+    step = max(1, MAX_STACK_ELEMENTS // len(logp))
+    for lo in range(0, len(s_all), step):
+        s, g = s_all[lo : lo + step], g_all[lo : lo + step]
+        e = G[s, :, g]
+        e -= G[s, a, g][:, None]
+        e += c[s]
+        mx = e.max(axis=1)
+        e -= mx[:, None]
+        np.exp(e, out=e)
+        sums = e.sum(axis=1)
+        if out.ndim == 2:
+            out[s, g] = -(mx + np.log(sums))
+        else:
+            e /= sums[:, None]
+            out[s, :, g] = e
+
+
 def _posterior_pass(probs, logp, D, G, W, values=None) -> np.ndarray:
     """Mixture averages over the grid of one (P,) array per component.
 
@@ -467,9 +512,25 @@ def _posterior_pass(probs, logp, D, G, W, values=None) -> np.ndarray:
     atom b has the log posterior weight logp[b] - D[a, b] + (G[b, g] -
     G[a, g]), up to normalisation: only differences of signals enter, so
     no term grows like |v|**2.
-    G[b] - G[a] is formed before logp and D are added, so a large signal
-    does not round away the log masses.  The logits are max-subtracted
-    before exp, so every column sums to at least 1.
+
+    The logit splits into an atom-pair part c[a, b] = logp[b] - D[a, b]
+    and an atom-grid part G[b, g] - G[a, g], so the pass takes one exp
+    per atom pair, K = exp(c - max_b c), and one per atom and grid point,
+    F = exp(G - max_b G), and forms the sums over atoms as matmuls of
+    the two factors.  Against the component's own-atom term
+    T[a, g] = K[a, a] * F[a, g], whose logit is exactly logp[a], the
+    log-likelihood ratio is -(logp[a] + log1p(R / T)), with the sums
+    over the other atoms R = K_off @ F (the diagonal of K zeroed) taken
+    for all components at once, and the normalised weights of component
+    a are K[a, b] * F[b, g] / (K[a] @ F)[g].  Where T is at least
+    OWN_TERM_FLOOR, a product K * F that underflows is below 1e-28 of T;
+    the entries whose T falls below it are recomputed, and only they,
+    by _exact_entries.  Atoms however far apart so keep exact weights.
+
+    Besides its arguments the pass holds F, whose buffer takes the llr,
+    and for the weights one more array of G's shape: the llr goes in
+    blocks of grid columns and the fallback in blocks of entries, each
+    of at most MAX_STACK_ELEMENTS floats per set.
 
     With values None the array is the log-likelihood ratio
     log p(y|x_a) - log p(y) = -log sum_b exp(logit_b); otherwise it is
@@ -481,19 +542,46 @@ def _posterior_pass(probs, logp, D, G, W, values=None) -> np.ndarray:
     Returns the (S,) averages; raises QuadratureUnderflowError when one
     is not finite.
     """
+    A = probs.shape[0]
+    own = np.arange(A)
+    K = logp - D
+    K -= K.max(axis=2, keepdims=True)
+    np.exp(K, out=K)
+    F = G - G.max(axis=1, keepdims=True)
+    np.exp(F, out=F)
+    if values is None:
+        # F's buffer takes the llr one block of grid columns at a time, so
+        # the sums R over the other atoms never fill a grid-sized array
+        K_own = K[:, own, own, None]
+        K[:, own, own] = 0.0
+        low = np.empty(F.shape, dtype=bool)
+        step = max(1, MAX_STACK_ELEMENTS // A)
+        for lo in range(0, F.shape[2], step):
+            T = F[:, :, lo : lo + step]
+            R = K @ T
+            np.multiply(K_own, T, out=T)
+            under = np.less(T, OWN_TERM_FLOOR, out=low[:, :, lo : lo + step])
+            # a stand-in that keeps the division finite where the
+            # fallback overwrites the llr
+            T[under] = 1.0
+            R /= T
+            np.log1p(R, out=R)
+            np.subtract(-logp[:, None], R, out=T)
+    else:
+        w = np.empty_like(F)
     totals = [0.0] * G.shape[0]
-    for a in range(probs.shape[0]):
-        e = G - G[:, a, None]
-        e += (logp - D[:, a])[:, :, None]
-        mx = e.max(axis=1)
-        e -= mx[:, None]
-        np.exp(e, out=e)
-        s = e.sum(axis=1)
+    for a in range(A):
         if values is None:
-            terms = -(mx + np.log(s))
+            terms = F[:, a]
+            _exact_entries(logp, D, G, a, low[:, a], terms)
         else:
-            e /= s[:, None]
-            terms = map(values, e)
+            np.multiply(K[:, a, :, None], F, out=w)
+            under = w[:, a] < OWN_TERM_FLOOR
+            sums = K[:, a, None] @ F
+            sums[under[:, None]] = 1.0
+            w /= sums
+            _exact_entries(logp, D, G, a, under, w)
+            terms = map(values, w)
         for i, term in enumerate(terms):
             totals[i] += probs[a] * float(W @ term)
     for total in totals:
@@ -530,9 +618,10 @@ def mutual_information(
 
     Averages log p(Y|x) - log p(Y) over the exact output mixture: for
     each atom the output law is a shifted copy of the base Gaussian, so
-    the projected grid plus shift integrates it.  Likelihoods stay in log
-    space through a max-subtracted log-sum-exp.  The one-row case of
-    mutual_information_many.
+    the projected grid plus shift integrates it.  Likelihoods are
+    max-subtracted factors against each component's own-atom term, with
+    a log-sum-exp where that term underflows (_posterior_pass).  The
+    one-row case of mutual_information_many.
 
     Raises QuadratureUnderflowError when the average is not finite (a
     signal sqrt(l) x that overflows float64), and SizeLimitError when

@@ -55,6 +55,16 @@ def test_rule_moments_and_bounds():
         gauss_hermite(MAX_QUAD_ORDER + 1)
 
 
+def test_rule_order_is_read_as_an_integer():
+    # numpy integers are integers and share the cached rule; booleans
+    # and floats are refused, not converted
+    assert gauss_hermite(np.int64(64)) is gauss_hermite(64)
+    assert gauss_hermite(np.int32(16)).order == 16
+    for order in (True, 64.0, "64"):
+        with pytest.raises(DomainError, match="^order: expected an integer"):
+            gauss_hermite(order)
+
+
 def test_rules_and_grids_are_cached():
     assert gauss_hermite(64) is gauss_hermite(64)
     rule = gauss_hermite(32)
