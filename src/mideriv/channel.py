@@ -22,14 +22,21 @@ weight.
 
 Every value is one posterior pass, _posterior_pass.  The logit of atom
 b in the component of atom a splits into an atom-pair part and an
-atom-by-grid-point part, so the pass takes one exp per atom pair and
-one per atom and grid point, and forms every component's sums over the
-other atoms as matmuls of the two factors.  Against each
-component's own-atom term it averages either the log-likelihood ratio
-(mutual information) or a function of the normalised posterior weights
-(mmse, conditional tau).  Entries whose own-atom term falls below
-OWN_TERM_FLOOR, where far-apart atoms leave the factors underflowing,
-are recomputed exactly by a max-subtracted log-sum-exp of their logits.
+atom-by-grid-point part, so the pass takes one exp per atom pair, K, and
+one per atom and grid point, F, and forms every component's sums over
+the atoms as matmuls of the two factors.  It averages either the
+log-likelihood ratio against each component's own-atom term (mutual
+information), or a form of conditional moments (mmse, conditional tau):
+each moment is the matmul of K times an atom function with F over that
+of K with F.  Centred forms take their atom functions on coordinates
+shifted by the component's own atom, which contributes exactly 0, so a
+posterior concentrated there keeps its small spread instead of
+cancelling it; their centred block moments follow binomially.  Entries
+whose own-atom term falls below OWN_TERM_FLOOR, where far-apart atoms
+leave the factors underflowing, are recomputed exactly by a
+max-subtracted log-sum-exp of their logits.  Besides G the pass holds F,
+which takes the per-point terms, and blocks of at most
+MAX_STACK_ELEMENTS floats.
 
 The pass runs on stacks of signal sets, one set per snr row of one law.
 mutual_information_many takes many rows at once: their grid axes come
@@ -55,7 +62,7 @@ from .errors import (
     integer,
     real,
 )
-from .forms import MomentOracle, SlotBinding, tau_symbolic
+from .forms import MomentOracle, SlotBinding, SymbolicExpansion, tau_symbolic
 
 MIN_QUAD_ORDER = 16
 # hermegauss's weight recurrence overflows around order 320 and returns
@@ -65,14 +72,16 @@ DEFAULT_QUAD_ORDER = 64
 MAX_ATOMS = 64
 # Joint cap on atoms * order**rank, counted on the unpruned grid so the
 # limits do not depend on GRID_WEIGHT_FLOOR: G holds one float per atom
-# and grid point.  2**24 (128 MB for G, and for each of the one or two
-# arrays of its shape the posterior pass holds) still admits 64
-# atoms on a rank-3 span at the default order 64; 64 atoms on a rank-3
-# span at order 300 would need a 648 MB grid and a 13.8 GB G.
+# and grid point.  2**24 (128 MB for G, and for F, the one array of its
+# shape the posterior pass holds) still admits 64 atoms on a rank-3
+# span at the default order 64; 64 atoms on a rank-3 span at order 300
+# would need a 648 MB grid and a 13.8 GB G.
 MAX_GRID_ATOM_POINTS = 2**24
 # A batch of snr rows goes through the posterior pass in stacks of at
 # most this many floats per (S, A, P) grid array and (S, A, A, n)
-# distance array; a row over the cap is a stack of its own.
+# distance array; a row over the cap is a stack of its own.  Inside the
+# pass, the sums over atoms go in blocks of grid columns, and the
+# fallback in blocks of entries, of at most this many floats per set.
 MAX_STACK_ELEMENTS = 2**15
 # Tensor grids keep only points whose product weight is at least this
 # times the largest (a pruned Gauss-Hermite rule).  On every grid the
@@ -471,38 +480,45 @@ def _grid_parts(dist: DiscreteJoint, snrs, quad: QuadratureRule | None):
             yield rows[lo : lo + step], logp, D, G, W
 
 
-def _exact_entries(logp, D, G, a, low, out) -> None:
-    """Recompute component a of the posterior pass exactly where low is set.
+def _exact_entries(logp, D, G, low, out, phi=None) -> None:
+    """Recompute the entries of the posterior pass where low is set, exactly.
 
-    low (S, P) marks the grid points of each set whose own-atom term fell
-    below OWN_TERM_FLOOR.  Their logits are formed as the loops take
-    them, G[b] - G[a] before logp[b] - D[a, b] is added so that a large
-    signal does not round away the log masses, and max-subtracted before
-    exp.  out, component a's llr (S, P) or normalised weights (S, A, P),
-    is overwritten at those points.  The points go in blocks of at most
-    MAX_STACK_ELEMENTS logits, so the fallback holds no grid-sized array.
+    low (S, A, C) marks the grid points of each set and component whose
+    own-atom term fell below OWN_TERM_FLOOR, on the C grid columns of G
+    (S, A, C).  Their logits are formed as the loops take them, G[b] -
+    G[a] before logp[b] - D[a, b] is added so that a large signal does
+    not round away the log masses, and max-subtracted before exp.  With
+    phi None, out is the llr (S, A, C); otherwise out holds the moments
+    (m, S, A, C), and each is the exact weights contracted with its atom
+    function phi[t, a] (m, A, A).  out is overwritten at those entries
+    only.  The entries go in blocks whose logits, and whose gathered atom
+    functions, hold at most MAX_STACK_ELEMENTS floats, so the fallback
+    holds no grid-sized array.
     """
-    s_all, g_all = np.nonzero(low)
-    c = logp - D[:, a]
-    step = max(1, MAX_STACK_ELEMENTS // len(logp))
+    s_all, a_all, g_all = np.nonzero(low)
+    if not len(s_all):
+        return
+    A = len(logp)
+    c = logp - D
+    step = max(1, MAX_STACK_ELEMENTS // (A if phi is None else A * len(phi)))
     for lo in range(0, len(s_all), step):
-        s, g = s_all[lo : lo + step], g_all[lo : lo + step]
+        s, a, g = s_all[lo : lo + step], a_all[lo : lo + step], g_all[lo : lo + step]
         e = G[s, :, g]
         e -= G[s, a, g][:, None]
-        e += c[s]
+        e += c[s, a]
         mx = e.max(axis=1)
         e -= mx[:, None]
         np.exp(e, out=e)
         sums = e.sum(axis=1)
-        if out.ndim == 2:
-            out[s, g] = -(mx + np.log(sums))
+        if phi is None:
+            out[s, a, g] = -(mx + np.log(sums))
         else:
             e /= sums[:, None]
-            out[s, :, g] = e
+            out[:, s, a, g] = (phi[:, a] * e).sum(axis=2)
 
 
-def _posterior_pass(probs, logp, D, G, W, values=None) -> np.ndarray:
-    """Mixture averages over the grid of one (P,) array per component.
+def _posterior_pass(probs, logp, D, G, W, moments=None) -> np.ndarray:
+    """Mixture averages over the grid of one per-point term per component.
 
     Layout, for S stacked signal sets of A atoms on a P-point grid: probs
     and logp (A,) are the atom masses and their logs, D (S, A, A) the half
@@ -517,73 +533,77 @@ def _posterior_pass(probs, logp, D, G, W, values=None) -> np.ndarray:
     and an atom-grid part G[b, g] - G[a, g], so the pass takes one exp
     per atom pair, K = exp(c - max_b c), and one per atom and grid point,
     F = exp(G - max_b G), and forms the sums over atoms as matmuls of
-    the two factors.  Against the component's own-atom term
-    T[a, g] = K[a, a] * F[a, g], whose logit is exactly logp[a], the
-    log-likelihood ratio is -(logp[a] + log1p(R / T)), with the sums
+    the two factors.  The component's own-atom term is
+    T[a, g] = K[a, a] * F[a, g], whose logit is exactly logp[a].
+
+    With moments None the term is the log-likelihood ratio
+    log p(y|x_a) - log p(y) = -(logp[a] + log1p(R / T)), with the sums
     over the other atoms R = K_off @ F (the diagonal of K zeroed) taken
-    for all components at once, and the normalised weights of component
-    a are K[a, b] * F[b, g] / (K[a] @ F)[g].  Where T is at least
-    OWN_TERM_FLOOR, a product K * F that underflows is below 1e-28 of T;
-    the entries whose T falls below it are recomputed, and only they,
-    by _exact_entries.  Atoms however far apart so keep exact weights.
+    for all components at once.  Otherwise moments is (phi, term): phi
+    (m, A, A) holds m atom functions, and the conditional moment of
+    atom function t in component a is
+    M[t, a] = ((K * phi[t]) @ F)[a] / (K @ F)[a], one batched matmul of
+    the stacked rows [K, K * phi[0], ...] for all of them; term maps the
+    (m, S, A, C) moments of C grid columns to their (S, A, C) per-point
+    term.  Where T is at least OWN_TERM_FLOOR, a product K * F that
+    underflows is below 1e-28 of T; the entries whose T falls below it
+    are recomputed, and only they, by _exact_entries.  Atoms however far
+    apart so keep exact weights.
 
-    Besides its arguments the pass holds F, whose buffer takes the llr,
-    and for the weights one more array of G's shape: the llr goes in
-    blocks of grid columns and the fallback in blocks of entries, each
-    of at most MAX_STACK_ELEMENTS floats per set.
-
-    With values None the array is the log-likelihood ratio
-    log p(y|x_a) - log p(y) = -log sum_b exp(logit_b); otherwise it is
-    values(w) for each set's (A, P) normalised posterior weights w.
-    Components are accumulated in atom order and each set's array is
-    reduced by its own W @ term dot, so every set's average has the bits
-    it has in a stack of one, run to run.
+    Besides its arguments the pass holds only F, whose buffer takes the
+    per-point terms: the sums and moments go in blocks of grid columns
+    of at most MAX_STACK_ELEMENTS floats per set, the fallback in blocks
+    of entries.  Components are accumulated in
+    atom order and each set's terms are reduced by their own W @ term
+    dot, so every set's average has the bits it has in a stack of one,
+    run to run.
 
     Returns the (S,) averages; raises QuadratureUnderflowError when one
     is not finite.
     """
-    A = probs.shape[0]
+    S, A = D.shape[:2]
     own = np.arange(A)
     K = logp - D
     K -= K.max(axis=2, keepdims=True)
     np.exp(K, out=K)
     F = G - G.max(axis=1, keepdims=True)
     np.exp(F, out=F)
-    if values is None:
-        # F's buffer takes the llr one block of grid columns at a time, so
-        # the sums R over the other atoms never fill a grid-sized array
-        K_own = K[:, own, own, None]
+    K_own = K[:, own, own, None]
+    if moments is None:
         K[:, own, own] = 0.0
-        low = np.empty(F.shape, dtype=bool)
-        step = max(1, MAX_STACK_ELEMENTS // A)
-        for lo in range(0, F.shape[2], step):
-            T = F[:, :, lo : lo + step]
-            R = K @ T
-            np.multiply(K_own, T, out=T)
-            under = np.less(T, OWN_TERM_FLOOR, out=low[:, :, lo : lo + step])
+        rows = K
+    else:
+        phi, term = moments
+        # (S, (m + 1) * A, A): the normaliser's rows, then each moment's
+        rows = np.concatenate([K[:, None], K[:, None] * phi], axis=1).reshape(S, -1, A)
+    step = max(1, MAX_STACK_ELEMENTS // rows.shape[1])
+    for lo in range(0, F.shape[2], step):
+        # F's buffer takes the terms one block of grid columns at a time,
+        # so the sums never fill a grid-sized array
+        T = F[:, :, lo : lo + step]
+        R = rows @ T
+        np.multiply(K_own, T, out=T)
+        under = T < OWN_TERM_FLOOR
+        if moments is None:
             # a stand-in that keeps the division finite where the
             # fallback overwrites the llr
             T[under] = 1.0
             R /= T
             np.log1p(R, out=R)
             np.subtract(-logp[:, None], R, out=T)
-    else:
-        w = np.empty_like(F)
-    totals = [0.0] * G.shape[0]
-    for a in range(A):
-        if values is None:
-            terms = F[:, a]
-            _exact_entries(logp, D, G, a, low[:, a], terms)
+            _exact_entries(logp, D, G[:, :, lo : lo + step], under, T)
         else:
-            np.multiply(K[:, a, :, None], F, out=w)
-            under = w[:, a] < OWN_TERM_FLOOR
-            sums = K[:, a, None] @ F
-            sums[under[:, None]] = 1.0
-            w /= sums
-            _exact_entries(logp, D, G, a, under, w)
-            terms = map(values, w)
-        for i, term in enumerate(terms):
-            totals[i] += probs[a] * float(W @ term)
+            R = R.reshape(S, -1, A, T.shape[2])
+            sums = R[:, 0]
+            sums[under] = 1.0
+            M = R[:, 1:].transpose(1, 0, 2, 3)
+            M /= sums
+            _exact_entries(logp, D, G[:, :, lo : lo + step], under, M, phi)
+            T[...] = term(M)
+    totals = [0.0] * S
+    for a in range(A):
+        for i, term_a in enumerate(F[:, a]):
+            totals[i] += probs[a] * float(W @ term_a)
     for total in totals:
         if not math.isfinite(total):
             raise QuadratureUnderflowError(
@@ -592,12 +612,86 @@ def _posterior_pass(probs, logp, D, G, W, values=None) -> np.ndarray:
     return np.array(totals, dtype=float)
 
 
-def _posterior_average(dist: DiscreteJoint, snrs, quad: QuadratureRule | None, values=None) -> np.ndarray:
+def _posterior_average(dist: DiscreteJoint, snrs, quad: QuadratureRule | None, moments=None) -> np.ndarray:
     """The posterior pass at every snr row, stack by stack: (len(snrs),)."""
     out = np.empty(len(snrs))
     for rows, *parts in _grid_parts(dist, snrs, quad):
-        out[rows] = _posterior_pass(dist.probs, *parts, values)
+        out[rows] = _posterior_pass(dist.probs, *parts, moments)
     return out
+
+
+def _centring(block) -> list:
+    """The centred moment of block as (coefficient, raw moment factors) terms.
+
+    With Y_i = X_i - x_{a,i} shifted by the component's own atom and
+    d_i = E[Y_i | y], X_i - E[X_i | y] = Y_i - d_i, so the centred moment
+    is the sum over sub-multisets T of block of prod_j C(k_j, t_j) *
+    (-d_j)**(k_j - t_j) times the shifted raw moment of T.  The terms
+    with |T| < 2 fold into one, (-1)**(n-1) * (n-1) * prod_i d_i, since
+    the shifted raw moment of (i,) is d_i itself.  Each term's factors
+    are the sub-block T, then one (i,) per d_i.
+    """
+    counts = {i: block.count(i) for i in sorted(set(block))}
+    n = len(block)
+    terms = []
+    for taken in itertools.product(*(range(k, -1, -1) for k in counts.values())):
+        size = sum(taken)
+        if size >= 2:
+            coeff = (-1) ** (n - size) * math.prod(map(math.comb, counts.values(), taken))
+            sub = tuple(i for i, t in zip(counts, taken) for _ in range(t))
+            means = tuple((i,) for i, t in zip(counts, taken) for _ in range(counts[i] - t))
+            terms.append((float(coeff), (sub,) + means))
+    terms.append((float((-1) ** (n - 1) * (n - 1)), tuple((i,) for i in block)))
+    return terms
+
+
+def _moment_form(support: np.ndarray, expansion: SymbolicExpansion, centered: bool):
+    """(phi, term) for _posterior_pass: an expansion on conditional moments.
+
+    phi (m, A, A) holds one atom function per raw moment the expansion's
+    blocks need.  Centred, phi[t, a, b] is the product over the ids i of
+    block t of x_{b,i} - x_{a,i}: coordinates shifted by component a's
+    own atom, which contributes exactly 0, so the moments of a posterior
+    concentrated on its own atom do not cancel, and term forms each
+    block's centred moment from them (_centring).  Uncentred,
+    phi[t, a, b] is the plain product of x_{b,i} over block t, and term
+    reads the block moments as they are.  term then evaluates the
+    expansion on the block moments, elementwise on the grid.
+    """
+    blocks = sorted({b for mono, _ in expansion.terms for b in mono})
+    if centered:
+        plans = {b: _centring(b) for b in blocks}
+        raw = sorted({f for plan in plans.values() for _, factors in plan for f in factors})
+        # (n, A, A): x_{b,i} - x_{a,i} at [i - 1, a, b]
+        coords = support.T[:, None, :] - support.T[:, :, None]
+    else:
+        plans = {b: [(1.0, (b,))] for b in blocks}
+        raw = blocks
+        coords = support.T[:, None, :]
+    A = support.shape[0]
+    phi = np.empty((len(raw), A, A))
+    for t, block in enumerate(raw):
+        f = coords[block[0] - 1]
+        for i in block[1:]:
+            f = f * coords[i - 1]
+        phi[t] = f
+    index = {block: t for t, block in enumerate(raw)}
+
+    def term(M):
+        moments = {}
+        for block, plan in plans.items():
+            total = None
+            for coeff, factors in plan:
+                v = M[index[factors[0]]]
+                for f in factors[1:]:
+                    v = v * M[index[f]]
+                if coeff != 1.0:
+                    v = coeff * v
+                total = v if total is None else total + v
+            moments[block] = total
+        return expansion.evaluate(MomentOracle(moments.__getitem__))
+
+    return phi, term
 
 
 def mutual_information_many(dist: DiscreteJoint, snrs, quad: QuadratureRule | None = None) -> np.ndarray:
@@ -639,22 +733,18 @@ def mmse(
 ) -> float:
     """E[(X_i - E[X_i|Y])**2] over the output mixture, i = channel.
 
-    Lies in [0, Var(X_i)]; at zero snr the best estimate is the prior
-    mean and the value is the prior variance.  A non-finite average
-    raises QuadratureUnderflowError, as in mutual_information; here that
-    also happens when x_i**2 overflows float64.
+    The centred (i, i) block of the posterior pass's moments, formed from
+    moments shifted by each component's own atom (_moment_form).  Lies
+    in [0, Var(X_i)]; at zero snr the best estimate is the prior mean and
+    the value is the prior variance.  A non-finite average raises
+    QuadratureUnderflowError, as in mutual_information; here that also
+    happens when a squared coordinate difference overflows float64.
     """
     channel = integer(channel, DomainError, "channel")
     if not 1 <= channel <= dist.n:
         raise DomainError(f"channel {channel} leaves 1..{dist.n}")
-    col = dist.support[:, channel - 1]
-    col2 = col * col
-
-    def spread(w):
-        mu = col @ w
-        return col2 @ w - mu * mu
-
-    return float(_posterior_average(dist, [spec.snr], quad, spread)[0])
+    block = SymbolicExpansion(((((channel, channel),), 1),))
+    return float(_posterior_average(dist, [spec.snr], quad, _moment_form(dist.support, block, True))[0])
 
 
 def expected_conditional_tau(
@@ -667,11 +757,13 @@ def expected_conditional_tau(
     """Output average of the diverse-partition form of the posterior.
 
     With centered=True, evaluates the blocks-of-size->=-2 expansion on
-    the conditionally centered coordinates X_i - E[X_i|Y]; with
-    centered=False, the full expansion on raw coordinates.  The two
-    agree (conditionally applied centering identity) whenever the slot
-    count is at least 2; the centered path rejects a single slot, whose
-    first-derivative content is carried by mmse/2 instead.
+    the conditionally centered coordinates X_i - E[X_i|Y], each block
+    moment formed binomially from moments shifted by the component's own
+    atom; with centered=False, the full expansion on raw coordinates.
+    The two agree (conditionally applied centering identity) whenever the
+    slot count is at least 2; the centered path rejects a single slot,
+    whose first-derivative content is carried by mmse/2 instead.  Both go
+    through SymbolicExpansion.evaluate on the pass's block moments.
 
     Binding variable ids index channel coordinates.  At zero snr the
     posterior is the prior and the value is the unconditional form.  A
@@ -687,28 +779,4 @@ def expected_conditional_tau(
             f"binding uses variable {max(binding.variables)} but the distribution has {dist.n} coordinates"
         )
     expansion = tau_symbolic(binding, 2 if centered else 1)
-    S = dist.support
-    blocks = sorted({b for mono, _ in expansion.terms for b in mono})
-    if not centered:
-        # (blocks, A) raw block products; raw @ w are the uncentered moments
-        raw = np.ones((len(blocks), dist.atom_count))
-        for bi, b in enumerate(blocks):
-            for i in b:
-                raw[bi] *= S[:, i - 1]
-
-    def form(w):
-        if centered:
-            mu = S.T @ w  # (n, P) posterior means
-            moments = {}
-            for b in blocks:
-                prod = np.ones_like(w)
-                for i in b:
-                    prod *= S[:, i - 1][:, None] - mu[i - 1]
-                prod *= w
-                moments[b] = prod.sum(axis=0)
-        else:
-            moments = dict(zip(blocks, raw @ w))
-        return expansion.evaluate(MomentOracle(moments.__getitem__))
-
-    return float(_posterior_average(dist, [spec.snr], quad, form)[0])
-
+    return float(_posterior_average(dist, [spec.snr], quad, _moment_form(dist.support, expansion, centered))[0])

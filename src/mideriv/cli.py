@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-block-size", type=int, default=1, help="drop partitions with smaller blocks")
     p.add_argument("--graphs", action="store_true", help="also emit the loop-free multigraph duals as DOT")
     p.add_argument("--format", choices=("table", "json", "dot"), default="table")
-    p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("tau", help="partition-sum expansion, symbolic or numeric")
     p.add_argument("--multiplicities", required=True, help="per-channel derivative orders, e.g. 1,1,1")
@@ -219,23 +218,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-order", type=int, help=f"numeric mode: Gauss-Hermite order (default: {DEFAULT_QUAD_ORDER})")
     p.add_argument("--no-fd", action="store_true", help="numeric mode: skip the finite-difference cross-check")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_tau)
 
     p = sub.add_parser("mi", help="mutual information of a finite input law")
     p.add_argument("--dist", required=True, help="input law JSON file")
     p.add_argument("--snr", required=True, help="comma-separated snr vector")
     p.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER, help="Gauss-Hermite order (default: %(default)s)")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_mi)
 
     p = sub.add_parser("verify", help="run a verification suite and emit its report")
     p.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report to this file instead of standard output")
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    p.set_defaults(func=cmd_verify)
 
     return parser
+
+
+_PARSER: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -243,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     # hold no reference cycles, so the cycle collector would only walk
     # them, again and again as they grow.  Pause it for this one command
     # and give the caller its own setting back; the few cycles a command
-    # does make (its parser, a caught exception) are collected afterwards.
+    # does make (a caught exception) are collected afterwards.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -254,13 +253,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
+    # one parser per process; the command runs as the module's
+    # cmd_<name> looked up at call time, so a wrapped command is the
+    # one called
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except tuple(ERROR_CODES) as exc:
         return _emit_error(ERROR_CODES[type(exc)], str(exc))
     except OSError as exc:

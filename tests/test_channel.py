@@ -118,7 +118,7 @@ def test_tensor_grid_keeps_exactly_the_points_above_the_weight_floor(order, dim)
         assert abs(W @ Z[:, axis] ** 2 - 1.0) <= 1e-12
 
 
-def _unpruned_pass(dist, spec, order, values=None):
+def _unpruned_pass(dist, spec, order, moments=None):
     """The posterior pass on the unpruned tensor rule over the same axes."""
     nodes, weights = hermegauss(order)
     ((_, logp, D, _, _),) = _grid_parts(dist, [spec.snr], gauss_hermite(order))
@@ -127,7 +127,16 @@ def _unpruned_pass(dist, spec, order, values=None):
     dim = U.shape[2]
     T = np.stack([m.ravel() for m in np.meshgrid(*([nodes] * dim), indexing="ij")], axis=1)
     W = _unpruned_product_weights(weights / math.sqrt(2.0 * math.pi), dim)
-    return _posterior_pass(dist.probs, logp, D, ((v - v.mean(axis=0)) @ U[0] @ T.T)[None], W, values)[0]
+    return _posterior_pass(dist.probs, logp, D, ((v - v.mean(axis=0)) @ U[0] @ T.T)[None], W, moments)[0]
+
+
+def _shifted(dist, *ids):
+    """(A, A) atom function: the product of x_{b,i} - x_{a,i} over ids, at [a, b]."""
+    S = dist.support
+    f = np.ones((len(S), len(S)))
+    for i in ids:
+        f = f * (S[None, :, i - 1] - S[:, None, i - 1])
+    return f
 
 
 def test_pruned_grid_values_match_the_unpruned_rule():
@@ -144,19 +153,13 @@ def test_pruned_grid_values_match_the_unpruned_rule():
         if n == 3 and len(atoms) > 3:
             order = min(order, 64)
         quad = gauss_hermite(order)
-        S = dist.support
-        col = S[:, 0]
-
-        def spread(w):
-            return (col * col) @ w - (col @ w) ** 2
+        # the conditional variance of X_1, and -Cov(X_i, X_j | Y)**2 / 2,
+        # on moments shifted by each component's own atom
+        spread = (np.stack([_shifted(dist, 1), _shifted(dist, 1, 1)]), lambda M: M[1] - M[0] * M[0])
 
         def tau2(i, j):
-            def form(w):
-                mu = S.T @ w
-                cov = ((S[:, i - 1][:, None] - mu[i - 1]) * (S[:, j - 1][:, None] - mu[j - 1]) * w).sum(axis=0)
-                return -0.5 * cov * cov
-
-            return form
+            phi = np.stack([_shifted(dist, i), _shifted(dist, j), _shifted(dist, i, j)])
+            return phi, lambda M: -0.5 * (M[2] - M[0] * M[1]) ** 2
 
         checks = [
             (mutual_information(dist, spec, quad), _unpruned_pass(dist, spec, order)),
@@ -379,21 +382,23 @@ def test_grid_size_limit_is_joint():
 
 
 def test_posterior_mean_matches_tanh():
-    # the pass's normalised weights of the two-point law, at the output
-    # points y = sqrt(l) x_a + z of each component, against tanh
+    # the pass's conditional moment of x_b, the posterior mean, of the
+    # two-point law at the output points y = sqrt(l) x_a + z of each
+    # component, against tanh
     lam = 0.7
     quad = gauss_hermite(16)
     spec = ChannelSpec((lam,))
     col = TWO_POINT.support[:, 0]
     means = []
 
-    def mean(w):
-        means.append(col @ w)
-        return np.zeros(w.shape[1])
+    def keep(M):
+        means.append(M[0, 0].copy())
+        return np.zeros(M.shape[2:])
 
+    phi = np.broadcast_to(col, (1, 2, 2))
     ((_, *parts),) = _grid_parts(TWO_POINT, [spec.snr], quad)
-    assert _posterior_pass(TWO_POINT.probs, *parts, mean) == [0.0]
-    for x, mu in zip(col, means):
+    assert _posterior_pass(TWO_POINT.probs, *parts, (phi, keep)) == [0.0]
+    for x, mu in zip(col, np.concatenate(means, axis=1)):
         y = math.sqrt(lam) * x + quad.nodes
         expected = [closedform.two_point_posterior_mean(lam, t) for t in y]
         assert np.abs(mu - expected).max() < 1e-14

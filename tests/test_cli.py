@@ -498,3 +498,39 @@ def test_main_leaves_a_disabled_collector_disabled(capsys, restore_collector):
     assert main(["tau", "--no-such-flag"]) == 2
     capsys.readouterr()
     assert not gc.isenabled()
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_when_called(capsys, monkeypatch):
+    # a wrapper put on cli.cmd_tau after import is the command that runs,
+    # and successive calls share one parser
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    seen = []
+    monkeypatch.setattr(cli, "cmd_tau", lambda args: seen.append(args.multiplicities) or 0)
+    assert main(["tau", "--multiplicities", "1,1", "--symbolic"]) == 0
+    assert main(["tau", "--multiplicities", "2", "--symbolic"]) == 0
+    assert seen == ["1,1", "2"]
+    assert main(["partitions", "--n", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "count: 3"
+    assert builds == [1]
+
+
+def test_successive_calls_print_what_fresh_processes_print(capsys, dist_file):
+    # one process, each command twice, against ``python -m mideriv``
+    env = dict(os.environ, PYTHONPATH=str(Path(mideriv.__file__).parents[1]))
+    commands = [
+        ["tau", "--multiplicities", "2,1", "--symbolic", "--bar", "--format", "json"],
+        ["tau", "--multiplicities", "1", "--snr", "0.5"],
+        ["partitions", "--n", "3", "--min-block-size", "2"],
+        ["mi", "--dist", dist_file, "--snr", "0.8", "--format", "json"],
+        ["verify", "--suite", "no-such-suite"],
+    ]
+    for argv in commands:
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+        done = subprocess.run(
+            [sys.executable, "-m", "mideriv", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (done.returncode, done.stdout, done.stderr) == first, argv

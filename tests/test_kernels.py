@@ -24,20 +24,23 @@ from mideriv.channel import (
     OWN_TERM_FLOOR,
     ChannelSpec,
     DiscreteJoint,
+    expected_conditional_tau,
     gauss_hermite,
     mmse,
     mutual_information,
     mutual_information_many,
     _grid_parts,
+    _moment_form,
     _posterior_pass,
 )
 from mideriv.errors import QuadratureUnderflowError
+from mideriv.forms import MomentOracle, SlotBinding, SymbolicExpansion, tau_symbolic
 from mideriv.verify import correlated_pair_input, random_triple_input, two_point_input
 
 
-def _pass(probs, logp, D, G, W, values=None):
+def _pass(probs, logp, D, G, W, moments=None):
     """The stacked posterior pass on one signal set: D (A, A), G (A, P)."""
-    return _posterior_pass(probs, logp, D[None], G[None], W, values)[0]
+    return _posterior_pass(probs, logp, D[None], G[None], W, moments)[0]
 
 
 def _mi_reference(probs, logp, D, G, W):
@@ -92,16 +95,35 @@ def _pass_args(seed, n, atoms, order):
     return probs, np.log(probs), D, G, W
 
 
-def _pass_weights(probs, logp, D, G, W):
-    """The normalised (A, P) weights the pass hands out, per component."""
+def _atom_functions(seed, atoms):
+    """(atoms + 3, A, A) atom functions phi[t, a, b] of seeded coordinates x.
+
+    The indicator of each atom t, whose conditional moment is its
+    posterior weight; a row of ones, the total weight; then x_b - x_a on
+    one axis and the product of the shifts on two.
+    """
+    x = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(atoms, 2))
+    shift = x[None, :, :] - x[:, None, :]
+    indicators = np.broadcast_to(np.eye(atoms)[:, None, :], (atoms, atoms, atoms))
+    more = [np.ones((atoms, atoms)), shift[..., 0], shift[..., 0] * shift[..., 1]]
+    return np.concatenate([indicators, np.stack(more)])
+
+
+def _pass_moments(probs, logp, D, G, W, phi):
+    """The (m, A, P) conditional moments of phi the pass forms, per component."""
     seen = []
 
-    def keep(w):
-        seen.append(w.copy())
-        return np.zeros(w.shape[1])
+    def keep(M):
+        seen.append(M[:, 0].copy())
+        return np.zeros(M.shape[2:])
 
-    assert _pass(probs, logp, D, G, W, keep) == 0.0
-    return seen
+    assert _pass(probs, logp, D, G, W, (phi, keep)) == 0.0
+    return np.concatenate(seen, axis=2)
+
+
+def _moments_reference(logp, D, G, phi):
+    """The loop's normalised weights contracted with phi: (m, A, P)."""
+    return np.stack([phi[:, a] @ _weights_reference(logp, D[a], G, a) for a in range(len(logp))], axis=1)
 
 
 CASES = [(1, 1, 16), (1, 6, 20), (2, 2, 19), (2, 5, 16), (3, 3, 16), (3, 6, 17)]
@@ -112,11 +134,10 @@ def test_kernels_match_loop_reference(n, atoms, order):
     args = _pass_args(100 * n + atoms, n, atoms, order)
     _, logp, D, G, W = args
     assert abs(_pass(*args) - _mi_reference(*args)) < 1e-13
-    weights = _pass_weights(*args)
-    assert len(weights) == atoms
-    for a, w in enumerate(weights):
-        assert w.shape == (atoms, len(W))
-        assert np.abs(w - _weights_reference(logp, D[a], G, a)).max() < 1e-13
+    phi = _atom_functions(n + atoms, atoms)
+    moments = _pass_moments(*args, phi)
+    assert moments.shape == (atoms + 3, atoms, len(W))
+    assert np.abs(moments - _moments_reference(logp, D, G, phi)).max() < 1e-13
 
 
 def test_pass_raises_only_on_non_finite_average():
@@ -129,8 +150,8 @@ def test_pass_raises_only_on_non_finite_average():
     G[0, 3] -= 1000.0
     args = (probs, logp, D, G, W)
     assert abs(_pass(*args) - _mi_reference(*args)) < 1e-13
-    for a, w in enumerate(_pass_weights(*args)):
-        assert np.abs(w - _weights_reference(logp, D[a], G, a)).max() < 1e-13
+    phi = _atom_functions(5, 2)
+    assert np.abs(_pass_moments(*args, phi) - _moments_reference(logp, D, G, phi)).max() < 1e-13
     G[0, 3] = math.inf
     with pytest.warns(RuntimeWarning, match="invalid value"):
         with pytest.raises(QuadratureUnderflowError):
@@ -164,12 +185,15 @@ def test_fallback_entries_match_the_loop_reference():
     low = _own_terms(logp, D, G) < OWN_TERM_FLOOR
     assert low.sum() == 6 and low[:, 3].sum() == 4 and low[2, 7] and low[0, 11]
     assert abs(_pass(*args) - _mi_reference(*args)) < 1e-13
-    weights = _pass_weights(*args)
-    for a, w in enumerate(weights):
-        assert np.abs(w - _weights_reference(logp, D[a], G, a)).max() < 1e-13
-        # every column is a distribution, on fallback entries and others
-        assert np.abs(w.sum(axis=0) - 1.0).max() < 1e-14
-        assert (w >= 0.0).all()
+    phi = _atom_functions(11, 5)
+    moments = _pass_moments(*args, phi)
+    assert np.abs(moments - _moments_reference(logp, D, G, phi)).max() < 1e-13
+    # the weights at every point are a distribution, on fallback entries
+    # and others, and the row of ones reads their total
+    weights = moments[:5]
+    assert np.abs(weights.sum(axis=0) - 1.0).max() < 1e-14
+    assert np.abs(moments[5] - 1.0).max() < 1e-14
+    assert (weights >= 0.0).all()
 
 
 def test_fallback_entries_keep_the_bits_of_their_set_in_a_stack():
@@ -186,33 +210,45 @@ def test_fallback_entries_keep_the_bits_of_their_set_in_a_stack():
 
 def test_grid_blocks_and_fallback_blocks_keep_the_values(monkeypatch):
     # a stack cap of 8 floats makes every block one grid column of the
-    # mi's sums and one entry of the fallback
+    # sums and one entry of the fallback.  The fallback's entries keep
+    # their bits; a one-column matmul takes BLAS's edge kernel, whose
+    # sums may differ from a wide block's in the last bit, so the
+    # blocked moments are held to the loop reference
     args = _partly_underflowing_args()
     probs, logp, D, G, W = args
+    phi = _atom_functions(11, 5)
+    low = _own_terms(logp, D, G) < OWN_TERM_FLOOR
     whole = _pass(*args)
-    weights = _pass_weights(*args)
+    moments = _pass_moments(*args, phi)
     monkeypatch.setattr(channel, "MAX_STACK_ELEMENTS", 8)
     assert _pass(*args) == whole
     assert abs(whole - _mi_reference(*args)) < 1e-13
-    for w, v in zip(_pass_weights(*args), weights):
-        assert np.array_equal(w, v)
+    blocked = _pass_moments(*args, phi)
+    assert np.array_equal(blocked[:, low], moments[:, low])
+    assert np.abs(blocked - _moments_reference(logp, D, G, phi)).max() < 1e-13
 
 
 def test_fallback_holds_no_grid_sized_gather():
     # an 8 x 8 lattice at snr 1e4 on both channels: two thirds of the
-    # own-atom terms underflow.  Besides G the pass holds F and, for the
-    # weights, one buffer of G's shape; the fallback goes in blocks of
-    # MAX_STACK_ELEMENTS logits, a few of them alive at once, where one
-    # gather of all its entries would take about 40 times G
+    # own-atom terms underflow.  Besides G the pass holds F, which takes
+    # the llr or the moments' per-point term, and blocks of at most
+    # MAX_STACK_ELEMENTS floats: the sums over atoms by grid columns, the
+    # fallback by entries, a few of them alive at once, where one gather
+    # of all the fallback's entries would take about 40 times G.  The
+    # moments of mmse and of a centred three-slot form get the mi's bound
     x = np.array([(i, j) for i in range(8) for j in range(8)], dtype=float)
     lattice = DiscreteJoint(x - 3.5, [1.0 / 64] * 64)
     ((_, logp, D, G, W),) = _grid_parts(lattice, [(1e4, 1e4)], gauss_hermite(64))
     assert (_own_terms(logp, D[0], G[0]) < OWN_TERM_FLOOR).mean() > 0.6
     bound = 2 * G.nbytes + 8 * 8 * channel.MAX_STACK_ELEMENTS
-    for values in (None, lambda w: w[0]):
+    forms = [
+        _moment_form(lattice.support, SymbolicExpansion(((((1, 1),), 1),)), True),
+        _moment_form(lattice.support, tau_symbolic(SlotBinding((1, 1, 2)), 2), True),
+    ]
+    for moments in [None] + forms:
         tracemalloc.start()
         try:
-            _posterior_pass(lattice.probs, logp, D, G, W, values)
+            _posterior_pass(lattice.probs, logp, D, G, W, moments)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -257,10 +293,13 @@ def _long_double_mi(probs, logp, D, G, W):
     return (probs[:, None] * llr).sum(axis=1) @ W
 
 
-@pytest.mark.skipif(
+wide_long_double = pytest.mark.skipif(
     np.finfo(np.longdouble).eps > 1e-3 * np.finfo(float).eps,
     reason="np.longdouble is no wider than float64 on this platform",
 )
+
+
+@wide_long_double
 @pytest.mark.parametrize(
     "dist,point,order",
     [
@@ -280,6 +319,86 @@ def test_mi_rounding_error_is_pinned_against_long_double(dist, point, order):
     for stack, logp, D, G, W in _grid_parts(dist, rows, quad):
         exact[stack] = _long_double_mi(dist.probs, logp, D, G, W)
     assert float(np.sqrt(np.mean((mi - exact) ** 2))) < 2e-16
+
+
+def _long_double_variances(probs, logp, D, G, W, x):
+    """Grid sums of E[Var(X|Y)] and -E[Var(X|Y)**2] / 2 of one set, in np.longdouble.
+
+    The weights are normalised per component and point, and each
+    variance is centred on its own posterior mean, atom by atom.
+    """
+    probs, logp, D, G, W, x = (np.asarray(v, dtype=np.longdouble) for v in (probs, logp, D, G, W, x))
+    # (a, b, P) weights of atom b in component a
+    e = (G[None, :, :] - G[:, None, :]) + (logp - D)[..., None]
+    w = np.exp(e - e.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    mu = (w * x[:, None]).sum(axis=1)
+    var = (w * (x[:, None] - mu[:, None, :]) ** 2).sum(axis=1)
+    return probs @ var @ W, probs @ (-0.5 * var * var) @ W
+
+
+@wide_long_double
+@pytest.mark.parametrize("lam", [1e2, 1e3])
+def test_high_snr_moments_are_pinned_against_long_double(lam):
+    # neighbouring 16-PAM atoms sit 2.2 and 6.9 apart: the posterior sits
+    # on the component's own atom, and the moments, shifted by it, carry
+    # the small spread without cancelling it
+    pam = _pam(16)
+    quad = gauss_hermite(128)
+    spec = ChannelSpec((lam,))
+    ((_, logp, D, G, W),) = _grid_parts(pam, [spec.snr], quad)
+    variance, squared = _long_double_variances(pam.probs, logp, D[0], G[0], W, pam.support[:, 0])
+    assert abs(mmse(pam, spec, quad=quad) - variance) <= 1e-14 * abs(variance)
+    tau = expected_conditional_tau(pam, spec, SlotBinding((1, 1)), quad=quad)
+    assert abs(tau - squared) <= 1e-14 * abs(squared)
+
+
+def _form_reference(dist, weights, W, binding, centered):
+    """The form averaged over the loop's weights, component by component.
+
+    Each block moment is centred on the posterior means atom by atom
+    (or taken raw), with no shift and no binomial expansion.
+    """
+    expansion = tau_symbolic(binding, 2 if centered else 1)
+    X = dist.support
+    total = 0.0
+    for p, w in zip(dist.probs, weights):
+        mu = X.T @ w
+
+        def moment(block):
+            prod = w
+            for i in block:
+                prod = prod * (X[:, i - 1][:, None] - mu[i - 1] if centered else X[:, i - 1][:, None])
+            return prod.sum(axis=0)
+
+        total += p * float(W @ expansion.evaluate(MomentOracle(moment)))
+    return total
+
+
+def test_binomial_centring_matches_the_loop_form():
+    # the centred form is built from moments shifted by each component's
+    # own atom; it must agree with the uncentred form, on unshifted
+    # moments, and both with the loop's weights
+    rng = np.random.default_rng(29)
+    rank3 = DiscreteJoint(rng.uniform(-1.0, 1.0, size=(5, 3)), rng.dirichlet(np.ones(5)))
+    laws = [
+        (correlated_pair_input(), (0.5, 0.9), 64),
+        (rank3, (0.4, 0.7, 0.3), 16),
+    ]
+    for dist, snr, order in laws:
+        quad = gauss_hermite(order)
+        spec = ChannelSpec(snr)
+        ((_, logp, D, G, W),) = _grid_parts(dist, [snr], quad)
+        weights = [_weights_reference(logp, D[0, a], G[0], a) for a in range(dist.atom_count)]
+        for variables in [(1, 1, 2), (1, 2, 3), (1, 1, 2, 2), (1, 2, 2, 2)]:
+            if max(variables) > dist.n:
+                continue
+            binding = SlotBinding(variables)
+            centred = expected_conditional_tau(dist, spec, binding, True, quad)
+            raw = expected_conditional_tau(dist, spec, binding, False, quad)
+            assert abs(centred - raw) < 1e-11, (variables, centred, raw)
+            assert abs(centred - _form_reference(dist, weights, W, binding, True)) < 1e-12
+            assert abs(raw - _form_reference(dist, weights, W, binding, False)) < 1e-12
 
 
 @st.composite

@@ -29,10 +29,11 @@ from mideriv.channel import (
     mmse,
     mutual_information,
     mutual_information_many,
+    _moment_form,
     _posterior_pass,
 )
 from mideriv.fd import fd_partial
-from mideriv.forms import SlotBinding
+from mideriv.forms import SlotBinding, SymbolicExpansion, tau_symbolic
 from mideriv.verify import correlated_pair_input, default_derivative_cases
 
 
@@ -47,31 +48,20 @@ def oracle_mi(dist, spec, quad):
     return _posterior_pass(*_full_tensor(dist, spec, quad))[0]
 
 
-def _oracle_average(dist, spec, quad, values):
-    return _posterior_pass(*_full_tensor(dist, spec, quad), values)[0]
+def _oracle_average(dist, spec, quad, expansion, centered=True):
+    """The pass of an expansion's conditional moments on the full tensor grid."""
+    moments = _moment_form(dist.support, expansion, centered)
+    return _posterior_pass(*_full_tensor(dist, spec, quad), moments)[0]
 
 
 def oracle_mmse(dist, spec, quad, channel):
-    col = dist.support[:, channel - 1]
-    col2 = col * col
-
-    def spread(w):
-        mu = col @ w
-        return col2 @ w - mu * mu
-
-    return _oracle_average(dist, spec, quad, spread)
+    """The centred (channel, channel) block: the conditional variance."""
+    return _oracle_average(dist, spec, quad, SymbolicExpansion(((((channel, channel),), 1),)))
 
 
 def oracle_tau2(dist, spec, quad, i, j):
     """-E[Cov(X_i, X_j | Y)**2] / 2, the centered order-2 form."""
-    S = dist.support
-
-    def form(w):
-        mu = S.T @ w
-        cov = ((S[:, i - 1][:, None] - mu[i - 1]) * (S[:, j - 1][:, None] - mu[j - 1]) * w).sum(axis=0)
-        return -0.5 * cov * cov
-
-    return _oracle_average(dist, spec, quad, form)
+    return _oracle_average(dist, spec, quad, tau_symbolic(SlotBinding((i, j)), 2))
 
 
 def _rank(support, snr):
