@@ -34,9 +34,12 @@ posterior concentrated there keeps its small spread instead of
 cancelling it; their centred block moments follow binomially.  Entries
 whose own-atom term falls below OWN_TERM_FLOOR, where far-apart atoms
 leave the factors underflowing, are recomputed exactly by a
-max-subtracted log-sum-exp of their logits.  Besides G the pass holds F,
-which takes the per-point terms, and blocks of at most
-MAX_STACK_ELEMENTS floats.
+max-subtracted log-sum-exp of their logits; a block of grid columns
+with no such entry never enters that fallback.  Besides G the pass
+holds F, which takes the per-point terms, and blocks of at most
+MAX_STACK_ELEMENTS floats.  Each rule holds its tensor grid as a
+C-ordered (r, P) array, so the atom-grid terms are one matmul onto
+contiguous rows.
 
 The pass runs on stacks of signal sets, one set per snr row of one law.
 mutual_information_many takes many rows at once: their grid axes come
@@ -146,7 +149,8 @@ class QuadratureRule:
         is at least GRID_WEIGHT_FLOOR times the largest are kept, still
         in lexicographic order of the per-axis indices; the dropped
         points carry less than 1e-29 of the weight on every grid the
-        size guard admits.  The grid is cached on the rule.
+        size guard admits.  The grid is cached on the rule, held as a
+        C-ordered (dim, P) array whose transposed view is the points.
         """
         if not 1 <= dim <= MAX_TENSOR_DIM:
             raise SizeLimitError(f"dim={dim}: tensor grids support 1..{MAX_TENSOR_DIM}")
@@ -156,11 +160,13 @@ class QuadratureRule:
                 w = (w[:, None] * self.weights[None, :]).ravel()
             keep = np.flatnonzero(w >= GRID_WEIGHT_FLOOR * w.max())
             axes = np.unravel_index(keep, (self.order,) * dim)
-            points = np.stack([self.nodes[i] for i in axes], axis=1)
+            # held as (dim, P), C-ordered, so the matmul onto the grid
+            # reads contiguous rows; the (P, dim) points are its view
+            columns = np.stack([self.nodes[i] for i in axes])
             w = w[keep]
-            points.flags.writeable = False
+            columns.flags.writeable = False
             w.flags.writeable = False
-            self._grids[dim] = (points, w)
+            self._grids[dim] = (columns.T, w)
         return self._grids[dim]
 
 
@@ -434,8 +440,9 @@ def _grid_parts(dist: DiscreteJoint, snrs, quad: QuadratureRule | None):
     With v = sqrt(l) * x, D[a, b] = |v_a - v_b|**2 / 2 and (v_b - v_a) . z
     are all the component of atom a needs; splitting z = U t + z_perp over
     the grid axes U of the difference span, z_perp drops out of every
-    difference, so G = ((v - mean v) @ U) @ T.T on the tensor grid T with
-    one axis per column of U; the mean cancels in G[b] - G[a], and taking
+    difference, so G = ((v - mean v) @ U) @ Z on the tensor grid Z, held
+    by the rule as a C-ordered (r, P) array with one row per column of
+    U; the mean cancels in G[b] - G[a], and taking
     it out keeps atoms far from 0 from rounding away their spread.  A
     rank above MAX_TENSOR_DIM, or more than MAX_GRID_ATOM_POINTS atoms
     times grid points at any row, raises SizeLimitError before any grid
@@ -467,7 +474,9 @@ def _grid_parts(dist: DiscreteJoint, snrs, quad: QuadratureRule | None):
             )
     logp = np.log(dist.probs)
     for rows, U in groups:
-        T, W = quad.tensor(U.shape[2])
+        points, W = quad.tensor(U.shape[2])
+        # the transposed view of the points is the rule's (r, P) array
+        Z = points.T
         step = max(1, MAX_STACK_ELEMENTS // (A * max(len(W), A * n)))
         for lo in range(0, len(rows), step):
             x = v[rows[lo : lo + step]]
@@ -476,7 +485,7 @@ def _grid_parts(dist: DiscreteJoint, snrs, quad: QuadratureRule | None):
             # weight 0
             with np.errstate(over="ignore"):
                 D = 0.5 * ((x[:, :, None, :] - x[:, None, :, :]) ** 2).sum(axis=3)
-            G = ((x - x.mean(axis=1, keepdims=True)) @ U[lo : lo + step]) @ T.T
+            G = ((x - x.mean(axis=1, keepdims=True)) @ U[lo : lo + step]) @ Z
             yield rows[lo : lo + step], logp, D, G, W
 
 
@@ -485,9 +494,10 @@ def _exact_entries(logp, D, G, low, out, phi=None) -> None:
 
     low (S, A, C) marks the grid points of each set and component whose
     own-atom term fell below OWN_TERM_FLOOR, on the C grid columns of G
-    (S, A, C).  Their logits are formed as the loops take them, G[b] -
-    G[a] before logp[b] - D[a, b] is added so that a large signal does
-    not round away the log masses, and max-subtracted before exp.  With
+    (S, A, C); the pass calls this only when low has a set entry.  Their
+    logits are formed as the loops take them, G[b] - G[a] before
+    logp[b] - D[a, b] is added so that a large signal does not round
+    away the log masses, and max-subtracted before exp.  With
     phi None, out is the llr (S, A, C); otherwise out holds the moments
     (m, S, A, C), and each is the exact weights contracted with its atom
     function phi[t, a] (m, A, A).  out is overwritten at those entries
@@ -496,8 +506,6 @@ def _exact_entries(logp, D, G, low, out, phi=None) -> None:
     holds no grid-sized array.
     """
     s_all, a_all, g_all = np.nonzero(low)
-    if not len(s_all):
-        return
     A = len(logp)
     c = logp - D
     step = max(1, MAX_STACK_ELEMENTS // (A if phi is None else A * len(phi)))
@@ -548,15 +556,17 @@ def _posterior_pass(probs, logp, D, G, W, moments=None) -> np.ndarray:
     term.  Where T is at least OWN_TERM_FLOOR, a product K * F that
     underflows is below 1e-28 of T; the entries whose T falls below it
     are recomputed, and only they, by _exact_entries.  Atoms however far
-    apart so keep exact weights.
+    apart so keep exact weights.  A block of grid columns is tested for
+    such entries once: only when it has one are the stand-ins written
+    and _exact_entries called.
 
     Besides its arguments the pass holds only F, whose buffer takes the
     per-point terms: the sums and moments go in blocks of grid columns
     of at most MAX_STACK_ELEMENTS floats per set, the fallback in blocks
-    of entries.  Components are accumulated in
-    atom order and each set's terms are reduced by their own W @ term
-    dot, so every set's average has the bits it has in a stack of one,
-    run to run.
+    of entries.  Each set's terms are reduced by one W @ term dot per
+    component, and the dots are accumulated per set in atom order, so
+    every set's average has the bits it has in a stack of one, run to
+    run.
 
     Returns the (S,) averages; raises QuadratureUnderflowError when one
     is not finite.
@@ -584,26 +594,34 @@ def _posterior_pass(probs, logp, D, G, W, moments=None) -> np.ndarray:
         R = rows @ T
         np.multiply(K_own, T, out=T)
         under = T < OWN_TERM_FLOOR
+        fallback = under.any()
         if moments is None:
-            # a stand-in that keeps the division finite where the
-            # fallback overwrites the llr
-            T[under] = 1.0
+            if fallback:
+                # a stand-in that keeps the division finite where the
+                # fallback overwrites the llr
+                T[under] = 1.0
             R /= T
             np.log1p(R, out=R)
             np.subtract(-logp[:, None], R, out=T)
-            _exact_entries(logp, D, G[:, :, lo : lo + step], under, T)
+            if fallback:
+                _exact_entries(logp, D, G[:, :, lo : lo + step], under, T)
         else:
             R = R.reshape(S, -1, A, T.shape[2])
             sums = R[:, 0]
-            sums[under] = 1.0
+            if fallback:
+                sums[under] = 1.0
             M = R[:, 1:].transpose(1, 0, 2, 3)
             M /= sums
-            _exact_entries(logp, D, G[:, :, lo : lo + step], under, M, phi)
+            if fallback:
+                _exact_entries(logp, D, G[:, :, lo : lo + step], under, M, phi)
             T[...] = term(M)
+    # one dot per set and component, accumulated per set in atom order
+    dots = [float(W @ f) for f in F.reshape(S * A, -1)]
+    p = probs.tolist()
     totals = [0.0] * S
-    for a in range(A):
-        for i, term_a in enumerate(F[:, a]):
-            totals[i] += probs[a] * float(W @ term_a)
+    for i in range(S):
+        for a in range(A):
+            totals[i] += p[a] * dots[i * A + a]
     for total in totals:
         if not math.isfinite(total):
             raise QuadratureUnderflowError(

@@ -134,26 +134,37 @@ def atoms_moment_oracle(support: Sequence[Sequence], probs: Sequence) -> MomentO
     """Finitely supported joint law; block ids index coordinates (1-based).
 
     The support entries and probabilities should be ints or Fractions;
-    moments come back as Fractions.  Values are memoized per block.
+    moments come back as Fractions.  Each moment is summed in integers
+    over the common denominator of the masses and of the block's
+    coordinates, and built as one Fraction.  Values are memoized per
+    block.
     """
     atoms = [tuple(a) for a in support]
-    ps = list(probs)
+    ps = [Fraction(p) for p in probs]
     if len(atoms) != len(ps):
         raise ValidationError(f"probs: length {len(ps)} does not match support length {len(atoms)}")
     dim = len(atoms[0]) if atoms else 0
+    # masses p = weights / scale; coordinate i of atom a is
+    # columns[i][a] / scales[i]
+    scale = math.lcm(*(p.denominator for p in ps))
+    weights = [p.numerator * (scale // p.denominator) for p in ps]
+    columns, scales = [], []
+    for column in zip(*atoms):
+        xs = [Fraction(x) for x in column]
+        d = math.lcm(*(x.denominator for x in xs))
+        columns.append([x.numerator * (d // x.denominator) for x in xs])
+        scales.append(d)
     memo: dict[Block, object] = {}
 
     def fn(block: Block):
         if block not in memo:
             if block[-1] > dim:
                 raise DomainError(f"block id {block[-1]} exceeds the {dim} coordinates")
-            total = Fraction(0)
-            for atom, p in zip(atoms, ps):
-                v = p
-                for i in block:
-                    v = v * atom[i - 1]
-                total = total + v
-            memo[block] = total
+            terms, denominator = weights, scale
+            for i in block:
+                terms = [t * x for t, x in zip(terms, columns[i - 1])]
+                denominator *= scales[i - 1]
+            memo[block] = Fraction(sum(terms), denominator)
         return memo[block]
 
     return MomentOracle(fn, exact=True)

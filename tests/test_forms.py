@@ -336,3 +336,20 @@ def test_atoms_oracle_exact_prior_moments():
     oracle = atoms_moment_oracle(atoms, probs)
     assert oracle((1,)) == Fraction(1, 3) - Fraction(2, 3)
     assert oracle((1, 2, 2)) == Fraction(1, 3) * 1 * 4 + Fraction(2, 3) * (-1) * 0
+
+
+def test_atoms_oracle_keeps_rational_atoms_exact_and_memoized():
+    # integer numerators over a common denominator give the Fraction the
+    # atom-by-atom sum gives, for rational coordinates too
+    rng = random.Random(41)
+    for _ in range(20):
+        atoms, probs = random_rational_joint(rng, 2)
+        atoms = [(Fraction(x, rng.randint(1, 6)), y) for x, y in atoms]
+        oracle = atoms_moment_oracle(atoms, probs)
+        for block in ((1,), (2,), (1, 1), (1, 2), (1, 1, 2), (2, 2, 2, 2)):
+            direct = sum((p * math.prod(a[i - 1] for i in block) for a, p in zip(atoms, probs)), Fraction(0))
+            value = oracle(block)
+            assert type(value) is Fraction and value == direct
+            assert oracle(block) is value
+    with pytest.raises(DomainError):
+        oracle((1, 3))

@@ -35,7 +35,7 @@ from mideriv.channel import (
 )
 from mideriv.errors import QuadratureUnderflowError
 from mideriv.forms import MomentOracle, SlotBinding, SymbolicExpansion, tau_symbolic
-from mideriv.verify import correlated_pair_input, random_triple_input, two_point_input
+from mideriv.verify import correlated_pair_input, random_triple_input, run_suite, two_point_input
 
 
 def _pass(probs, logp, D, G, W, moments=None):
@@ -213,7 +213,8 @@ def test_grid_blocks_and_fallback_blocks_keep_the_values(monkeypatch):
     # sums and one entry of the fallback.  The fallback's entries keep
     # their bits; a one-column matmul takes BLAS's edge kernel, whose
     # sums may differ from a wide block's in the last bit, so the
-    # blocked moments are held to the loop reference
+    # blocked mi is held within 4 ulp of the wide one and the blocked
+    # moments to the loop reference
     args = _partly_underflowing_args()
     probs, logp, D, G, W = args
     phi = _atom_functions(11, 5)
@@ -221,11 +222,37 @@ def test_grid_blocks_and_fallback_blocks_keep_the_values(monkeypatch):
     whole = _pass(*args)
     moments = _pass_moments(*args, phi)
     monkeypatch.setattr(channel, "MAX_STACK_ELEMENTS", 8)
-    assert _pass(*args) == whole
+    assert abs(_pass(*args) - whole) <= 4 * math.ulp(whole)
     assert abs(whole - _mi_reference(*args)) < 1e-13
     blocked = _pass_moments(*args, phi)
     assert np.array_equal(blocked[:, low], moments[:, low])
     assert np.abs(blocked - _moments_reference(logp, D, G, phi)).max() < 1e-13
+
+
+def test_fallback_is_entered_only_where_an_own_atom_term_underflows(monkeypatch):
+    # with the fallback made to raise, stacks whose own-atom terms all
+    # clear the floor still pass, on the mi path and the moments path,
+    # and so does the theorem1 battery; a stack with one term below the
+    # floor reaches it
+    def entered(*args):
+        raise AssertionError("the fallback was entered")
+
+    monkeypatch.setattr(channel, "_exact_entries", entered)
+    pair = correlated_pair_input()
+    rows = [(0.5, 0.9), (1.0, 0.2), (2.0, 2.0), (0.1, 0.3)]
+    forms = [
+        _moment_form(pair.support, SymbolicExpansion(((((1, 1),), 1),)), True),
+        _moment_form(pair.support, tau_symbolic(SlotBinding((1, 2)), 2), True),
+    ]
+    stacks = list(_grid_parts(pair, rows, gauss_hermite(64)))
+    assert max(len(D) for _, _, D, _, _ in stacks) > 1
+    for _, logp, D, G, W in stacks:
+        assert all((_own_terms(logp, d, g) >= 1e10 * OWN_TERM_FLOOR).all() for d, g in zip(D, G))
+        for moments in [None] + forms:
+            assert np.isfinite(_posterior_pass(pair.probs, logp, D, G, W, moments)).all()
+    assert run_suite("theorem1", 7).passed
+    with pytest.raises(AssertionError, match="fallback was entered"):
+        _pass(*_partly_underflowing_args())
 
 
 def test_fallback_holds_no_grid_sized_gather():

@@ -191,6 +191,9 @@ def _batch_laws():
         # rank 2: the seed-7 triple law of the battery, on its rule, at
         # every 16th point of its d(1,1,1) stencil
         (triple, _stencil_points((1, 1, 1), (0.3, 0.5, 0.7))[::16], 128),
+        # rank 2: three atoms on two channels, the triple law's grid shape
+        # on the coordinate axes
+        (DiscreteJoint([[1.0, 0.5], [-0.5, 1.0], [-0.5, -1.5]], [0.25, 0.35, 0.4]), [(0.4, 0.8), (1.5, 0.3)], 64),
         # rank 3 on three and on four channels
         (DiscreteJoint([[0, 0, 0], [1, 0, 0], [0, 2, 0], [0, 0, 1], [1, 1, 1]], [0.1, 0.2, 0.3, 0.15, 0.25]),
          [(0.2, 0.4, 0.6), (1.0, 0.5, 0.25)], 16),
