@@ -31,15 +31,16 @@ each moment is the matmul of K times an atom function with F over that
 of K with F.  Centred forms take their atom functions on coordinates
 shifted by the component's own atom, which contributes exactly 0, so a
 posterior concentrated there keeps its small spread instead of
-cancelling it; their centred block moments follow binomially.  Entries
-whose own-atom term falls below OWN_TERM_FLOOR, where far-apart atoms
-leave the factors underflowing, are recomputed exactly by a
-max-subtracted log-sum-exp of their logits; a block of grid columns
-with no such entry never enters that fallback.  Besides G the pass
-holds F, which takes the per-point terms, and blocks of at most
-MAX_STACK_ELEMENTS floats.  Each rule holds its tensor grid as a
-C-ordered (r, P) array, so the atom-grid terms are one matmul onto
-contiguous rows.
+cancelling it; each centred block moment is an expansion on those
+shifted moments, and it and the form go through the one evaluator,
+SymbolicExpansion.evaluate.  Entries whose own-atom term falls below
+OWN_TERM_FLOOR, where far-apart atoms leave the factors underflowing,
+are recomputed exactly by a max-subtracted log-sum-exp of their
+logits; a block of grid columns with no such entry never enters that
+fallback.  Besides G the pass holds F, which takes the per-point
+terms, and blocks of at most MAX_STACK_ELEMENTS floats.  Each rule
+holds its tensor grid as a C-ordered (r, P) array, so the atom-grid
+terms are one matmul onto contiguous rows.
 
 The pass runs on stacks of signal sets, one set per snr row of one law.
 mutual_information_many takes many rows at once: their grid axes come
@@ -53,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -638,75 +640,60 @@ def _posterior_average(dist: DiscreteJoint, snrs, quad: QuadratureRule | None, m
     return out
 
 
-def _centring(block) -> list:
-    """The centred moment of block as (coefficient, raw moment factors) terms.
+@lru_cache(maxsize=None)
+def _centring(block) -> SymbolicExpansion:
+    """The centred moment of block as a SymbolicExpansion on shifted moments.
 
     With Y_i = X_i - x_{a,i} shifted by the component's own atom and
     d_i = E[Y_i | y], X_i - E[X_i | y] = Y_i - d_i, so the centred moment
     is the sum over sub-multisets T of block of prod_j C(k_j, t_j) *
-    (-d_j)**(k_j - t_j) times the shifted raw moment of T.  The terms
-    with |T| < 2 fold into one, (-1)**(n-1) * (n-1) * prod_i d_i, since
-    the shifted raw moment of (i,) is d_i itself.  Each term's factors
-    are the sub-block T, then one (i,) per d_i.
+    (-d_j)**(k_j - t_j) times the shifted raw moment of T: the monomial
+    of T and one block (i,) per d_i.  As d_i is the shifted moment of
+    (i,), the constructor merges the terms with |T| < 2.  Cached per block.
     """
     counts = {i: block.count(i) for i in sorted(set(block))}
-    n = len(block)
     terms = []
-    for taken in itertools.product(*(range(k, -1, -1) for k in counts.values())):
-        size = sum(taken)
-        if size >= 2:
-            coeff = (-1) ** (n - size) * math.prod(map(math.comb, counts.values(), taken))
-            sub = tuple(i for i, t in zip(counts, taken) for _ in range(t))
-            means = tuple((i,) for i, t in zip(counts, taken) for _ in range(counts[i] - t))
-            terms.append((float(coeff), (sub,) + means))
-    terms.append((float((-1) ** (n - 1) * (n - 1)), tuple((i,) for i in block)))
-    return terms
+    for taken in itertools.product(*(range(k + 1) for k in counts.values())):
+        sub = tuple(i for i, t in zip(counts, taken) for _ in range(t))
+        means = tuple((i,) for i, t in zip(counts, taken) for _ in range(counts[i] - t))
+        coeff = (-1) ** len(means) * math.prod(map(math.comb, counts.values(), taken))
+        terms.append((((sub,) if sub else ()) + means, coeff))
+    return SymbolicExpansion(tuple(terms))
 
 
 def _moment_form(support: np.ndarray, expansion: SymbolicExpansion, centered: bool):
     """(phi, term) for _posterior_pass: an expansion on conditional moments.
 
-    phi (m, A, A) holds one atom function per raw moment the expansion's
-    blocks need.  Centred, phi[t, a, b] is the product over the ids i of
-    block t of x_{b,i} - x_{a,i}: coordinates shifted by component a's
-    own atom, which contributes exactly 0, so the moments of a posterior
-    concentrated on its own atom do not cancel, and term forms each
-    block's centred moment from them (_centring).  Uncentred,
-    phi[t, a, b] is the plain product of x_{b,i} over block t, and term
-    reads the block moments as they are.  term then evaluates the
-    expansion on the block moments, elementwise on the grid.
+    phi (m, A, A) holds one atom function per raw moment the expansion
+    needs.  Centred, phi[t, a, b] is the product over the ids i of block
+    t of x_{b,i} - x_{a,i}: coordinates shifted by component a's own
+    atom, which contributes exactly 0, so the moments of a posterior
+    concentrated on its own atom do not cancel; term evaluates each
+    block's centring (_centring) on them, then the expansion on the
+    centred block moments.  Uncentred, phi[t, a, b] is the plain product
+    of x_{b,i} over block t, on which term evaluates the expansion.  All
+    of it is SymbolicExpansion.evaluate, elementwise on the grid.
     """
     blocks = sorted({b for mono, _ in expansion.terms for b in mono})
     if centered:
-        plans = {b: _centring(b) for b in blocks}
-        raw = sorted({f for plan in plans.values() for _, factors in plan for f in factors})
+        centrings = {b: _centring(b) for b in blocks}
+        raw = sorted({f for c in centrings.values() for mono, _ in c.terms for f in mono})
         # (n, A, A): x_{b,i} - x_{a,i} at [i - 1, a, b]
         coords = support.T[:, None, :] - support.T[:, :, None]
     else:
-        plans = {b: [(1.0, (b,))] for b in blocks}
         raw = blocks
         coords = support.T[:, None, :]
     A = support.shape[0]
     phi = np.empty((len(raw), A, A))
     for t, block in enumerate(raw):
-        f = coords[block[0] - 1]
-        for i in block[1:]:
-            f = f * coords[i - 1]
-        phi[t] = f
+        phi[t] = math.prod(coords[i - 1] for i in block)
     index = {block: t for t, block in enumerate(raw)}
 
     def term(M):
-        moments = {}
-        for block, plan in plans.items():
-            total = None
-            for coeff, factors in plan:
-                v = M[index[factors[0]]]
-                for f in factors[1:]:
-                    v = v * M[index[f]]
-                if coeff != 1.0:
-                    v = coeff * v
-                total = v if total is None else total + v
-            moments[block] = total
+        raw_moment = MomentOracle(lambda block: M[index[block]])
+        if not centered:
+            return expansion.evaluate(raw_moment)
+        moments = {block: c.evaluate(raw_moment) for block, c in centrings.items()}
         return expansion.evaluate(MomentOracle(moments.__getitem__))
 
     return phi, term
@@ -751,12 +738,13 @@ def mmse(
 ) -> float:
     """E[(X_i - E[X_i|Y])**2] over the output mixture, i = channel.
 
-    The centred (i, i) block of the posterior pass's moments, formed from
-    moments shifted by each component's own atom (_moment_form).  Lies
-    in [0, Var(X_i)]; at zero snr the best estimate is the prior mean and
-    the value is the prior variance.  A non-finite average raises
-    QuadratureUnderflowError, as in mutual_information; here that also
-    happens when a squared coordinate difference overflows float64.
+    The centred (i, i) block of the posterior pass's moments, an
+    expansion on moments shifted by each component's own atom
+    (_moment_form).  Lies in [0, Var(X_i)]; at zero snr the best
+    estimate is the prior mean and the value is the prior variance.  A
+    non-finite average raises QuadratureUnderflowError, as in
+    mutual_information; here that also happens when a squared coordinate
+    difference overflows float64.
     """
     channel = integer(channel, DomainError, "channel")
     if not 1 <= channel <= dist.n:
@@ -776,8 +764,8 @@ def expected_conditional_tau(
 
     With centered=True, evaluates the blocks-of-size->=-2 expansion on
     the conditionally centered coordinates X_i - E[X_i|Y], each block
-    moment formed binomially from moments shifted by the component's own
-    atom; with centered=False, the full expansion on raw coordinates.
+    moment an expansion on moments shifted by the component's own atom
+    (_centring); with centered=False, the full expansion on raw coordinates.
     The two agree (conditionally applied centering identity) whenever the
     slot count is at least 2; the centered path rejects a single slot,
     whose first-derivative content is carried by mmse/2 instead.  Both go

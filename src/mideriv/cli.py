@@ -111,10 +111,6 @@ def cmd_tau(args: argparse.Namespace) -> int:
     if args.bar and not args.symbolic:
         raise ValidationError("--bar: symbolic mode only (pass --symbolic)")
     multiplicities = _parse_list(args.multiplicities, "multiplicities", int)
-    if any(v < 0 for v in multiplicities):
-        raise ValidationError(f"multiplicities: {multiplicities} has a negative entry")
-    if sum(multiplicities) == 0:
-        raise ValidationError(f"multiplicities: {multiplicities} has no positive entry")
     if args.symbolic:
         binding = SlotBinding.from_multiplicities(multiplicities)
         expansion = tau_symbolic(binding, min_block_size=2 if args.bar else 1)

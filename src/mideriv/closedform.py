@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer
 from .forms import MomentOracle
 
 # One fixed trapezoidal rule for E[f(Z)], Z standard normal: step 1/32 on
@@ -77,8 +77,10 @@ def half_log_derivative(k: int, at: Fraction = Fraction(0)) -> Fraction:
 
     Differentiates stepwise through the power-law chain
     c (1+l)**(-p) -> -p c (1+l)**(-p-1), independent of any partition
-    machinery.  At 0 this is (-1)**(k-1) (k-1)! / 2.
+    machinery.  At 0 this is (-1)**(k-1) (k-1)! / 2.  k is read by
+    errors.integer.
     """
+    k = integer(k, DomainError, "k")
     if k < 1:
         raise DomainError(f"k={k}: derivative order must be >= 1")
     c, p = Fraction(1, 2), 1

@@ -42,8 +42,10 @@ def fornberg_weights(d: int, offsets: Sequence) -> list[Fraction]:
     """Exact weights approximating the d-th derivative at 0.
 
     offsets are the sample abscissas (distinct, in units of the step);
-    any rationals work.  Exact rationals in, exact rationals out.
+    any rationals work.  Exact rationals in, exact rationals out.  d is
+    read by errors.integer.
     """
+    d = integer(d, DomainError, "d")
     if d < 0:
         raise DomainError(f"d={d}: derivative order must be >= 0")
     offs = [Fraction(o) for o in offsets]
@@ -80,14 +82,16 @@ def stencil_halfwidth(d: int) -> int:
     return (d + 1) // 2 + 3
 
 
-@lru_cache(maxsize=None)
+# typed: 2.0 and True must miss the entry of 2 and reach the check
+@lru_cache(maxsize=None, typed=True)
 def central_stencil(d: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     """Symmetric stencil for the d-th derivative, truncation order >= 8.
 
     Half-width m = stencil_halfwidth(d) gives 2m+1 points; parity makes
     central stencils gain one extra order, so accuracy is 2m+1-d or
-    better, which is >= 8 for every d >= 1.
+    better, which is >= 8 for every d >= 1.  d is read by errors.integer.
     """
+    d = integer(d, DomainError, "d")
     if d < 1:
         raise DomainError(f"d={d}: derivative order must be >= 1")
     m = stencil_halfwidth(d)

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, SizeLimitError, ValidationError, integer
-from .partitions import ENUMERATION_LIMIT, canonical_blocks, set_partitions, slot_states, state_blocks
+from .partitions import ENUMERATION_LIMIT, _min_block_size, canonical_blocks, set_partitions, slot_states, state_blocks
 
 Block = tuple[int, ...]
 Monomial = tuple[Block, ...]
@@ -69,7 +69,8 @@ class SlotBinding:
     def from_multiplicities(cls, multiplicities: Sequence[int]) -> "SlotBinding":
         """Binding with variable i occupying multiplicities[i-1] slots.
 
-        Zeros are skipped, so (2, 0, 1) binds slots (1, 1, 3).
+        Zeros are skipped, so (2, 0, 1) binds slots (1, 1, 3); a negative
+        count, or none positive, is a ValidationError on multiplicities.
         """
         vs: list[int] = []
         for var, count in enumerate(multiplicities, start=1):
@@ -77,6 +78,8 @@ class SlotBinding:
             if count < 0:
                 raise ValidationError(f"multiplicities: negative count for variable {var}")
             vs.extend([var] * count)
+        if not vs:
+            raise ValidationError("multiplicities: no positive count")
         return cls(tuple(vs))
 
 
@@ -337,8 +340,7 @@ def tau_symbolic(binding: SlotBinding, min_block_size: int = 1) -> SymbolicExpan
     for a single slot that index set is empty and the expansion is 0.
     Bindings of more than ENUMERATION_LIMIT slots raise SizeLimitError.
     """
-    if min_block_size not in (1, 2):
-        raise ValidationError(f"min_block_size: got {min_block_size!r}, expected 1 or 2")
+    min_block_size = _min_block_size(min_block_size)
     if binding.n > ENUMERATION_LIMIT:
         raise SizeLimitError(
             f"binding has {binding.n} slots: symbolic expansions support 1..{ENUMERATION_LIMIT}"
@@ -356,11 +358,12 @@ def tau_eval(binding: SlotBinding, oracle: MomentOracle, min_block_size: int = 1
     return tau_symbolic(binding, min_block_size).evaluate(oracle)
 
 
-@lru_cache(maxsize=None)
+# typed: 2.0 and True must miss the entry of 2 and reach the check
+@lru_cache(maxsize=None, typed=True)
 def kappa_symbolic(n: int) -> SymbolicExpansion:
     """Joint-cumulant expansion over set partitions of {1..n}."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n={n!r}: expected a positive integer")
+    if integer(n, DomainError, "n") < 1:
+        raise DomainError(f"n={n}: expected a positive integer")
     if n > CUMULANT_LIMIT:
         raise SizeLimitError(f"n={n}: set-partition enumeration capped at {CUMULANT_LIMIT}")
     return SymbolicExpansion(
@@ -387,8 +390,8 @@ def kappa_recursion_oracle(n: int, oracle: MomentOracle, identical: bool = False
     kappa_j, taking m_j as the moment of the first j ids (the oracle
     must treat all ids as one variable).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n={n!r}: expected a positive integer")
+    if integer(n, DomainError, "n") < 1:
+        raise DomainError(f"n={n}: expected a positive integer")
     if identical:
         ms = [oracle(tuple(range(1, j + 1))) for j in range(1, n + 1)]
         ks: list = []

@@ -163,6 +163,14 @@ def _slot_moves(state: State, var: int):
     yield tuple(sorted(state + ((-1, (var,), True),))), 1
 
 
+def _min_block_size(value) -> int:
+    """min_block_size as 1 or 2 (errors.integer), else ValidationError; read before any cache."""
+    value = integer(value, ValidationError, "min_block_size")
+    if value not in (1, 2):
+        raise ValidationError(f"min_block_size: got {value!r}, expected 1 or 2")
+    return value
+
+
 def slot_states(variables: Iterable[int], min_block_size: int) -> dict[State, int]:
     """Final states of the slot programme, each with its multiplicity.
 
@@ -230,12 +238,10 @@ def enumerate_diverse(n: int, min_block_size: int = 1) -> list[Partition]:
     -------
     list of Partition, ordered by (block count, block list).
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SizeLimitError(f"n={n!r}: expected an integer in 1..{ENUMERATION_LIMIT}")
+    n = integer(n, SizeLimitError, "n")
     if not 1 <= n <= ENUMERATION_LIMIT:
         raise SizeLimitError(f"n={n}: supported enumeration range is 1..{ENUMERATION_LIMIT}")
-    if min_block_size not in (1, 2):
-        raise ValidationError(f"min_block_size: got {min_block_size!r}, expected 1 or 2")
+    min_block_size = _min_block_size(min_block_size)
     # the programme at the distinct binding: each state is one partition;
     # bucketed by block count, each bucket sorts by plain tuple comparison
     by_count: dict[int, list[tuple[Block, ...]]] = {}

@@ -258,6 +258,24 @@ def test_tau_symbolic_refuses_quad_order(capsys, dist_file):
     assert err.startswith("mideriv: error[domain]:")
 
 
+@pytest.mark.parametrize(
+    "counts, mode, expected",
+    [
+        ("-1", "symbolic", "error[validation]: multiplicities:"),
+        ("0,0", "symbolic", "error[validation]: multiplicities:"),
+        ("-1", "numeric", "error[domain]: orders"),
+        ("0", "numeric", "error[domain]: orders"),
+    ],
+)
+def test_tau_states_the_order_rule_once_per_mode(capsys, dist_file, counts, mode, expected):
+    # symbolic mode reads the counts through SlotBinding.from_multiplicities,
+    # numeric mode through the derivative request's order rule
+    flags = ("--symbolic",) if mode == "symbolic" else ("--dist", dist_file, "--snr", "0.8", "--no-fd")
+    code, out, err = run(capsys, "tau", f"--multiplicities={counts}", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"mideriv: {expected}")
+
+
 def test_tau_numeric_without_dist_is_an_error(capsys):
     code, _, err = run(capsys, "tau", "--multiplicities", "2")
     assert code == 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,12 +30,13 @@ from mideriv.channel import (
     mmse,
     mutual_information,
     mutual_information_many,
+    _centring,
     _grid_parts,
     _moment_form,
     _posterior_pass,
 )
 from mideriv.errors import QuadratureUnderflowError
-from mideriv.forms import MomentOracle, SlotBinding, SymbolicExpansion, tau_symbolic
+from mideriv.forms import MomentOracle, SlotBinding, SymbolicExpansion, atoms_moment_oracle, tau_symbolic
 from mideriv.verify import correlated_pair_input, random_triple_input, run_suite, two_point_input
 
 
@@ -426,6 +428,33 @@ def test_binomial_centring_matches_the_loop_form():
             assert abs(centred - raw) < 1e-11, (variables, centred, raw)
             assert abs(centred - _form_reference(dist, weights, W, binding, True)) < 1e-12
             assert abs(raw - _form_reference(dist, weights, W, binding, False)) < 1e-12
+
+
+def test_centring_expansions_are_the_central_moments_written_out():
+    # E[.] of a block is the raw moment of its ids; each centred moment,
+    # expanded by hand, is exactly the expansion the pass evaluates
+    by_hand = {
+        (1, 1): [([(1, 1)], 1), ([(1,), (1,)], -1)],
+        (1, 2): [([(1, 2)], 1), ([(1,), (2,)], -1)],
+        (1, 1, 1): [([(1, 1, 1)], 1), ([(1, 1), (1,)], -3), ([(1,), (1,), (1,)], 2)],
+        (1, 1, 2): [
+            ([(1, 1, 2)], 1),
+            ([(1, 1), (2,)], -1),
+            ([(1, 2), (1,)], -2),
+            ([(1,), (1,), (2,)], 2),
+        ],
+    }
+    for block, terms in by_hand.items():
+        assert _centring(block) == SymbolicExpansion(tuple((tuple(mono), c) for mono, c in terms)), block
+    # and, on an exact law, the expansions give E[prod (X_i - E[X_i])]
+    support = [(1, -2, 0), (0, 1, 2), (-1, 1, 1), (2, 0, -1)]
+    probs = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 4), Fraction(1, 4)]
+    oracle = atoms_moment_oracle(support, probs)
+    for block in [(1, 1), (1, 2), (1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 2, 2), (2, 2, 2, 3, 3)]:
+        direct = sum(
+            (p * math.prod(x[i - 1] - oracle((i,)) for i in block) for x, p in zip(support, probs)), Fraction(0)
+        )
+        assert _centring(block).evaluate(oracle) == direct, block
 
 
 @st.composite
