@@ -28,19 +28,21 @@ the atoms as matmuls of the two factors.  It averages either the
 log-likelihood ratio against each component's own-atom term (mutual
 information), or a form of conditional moments (mmse, conditional tau):
 each moment is the matmul of K times an atom function with F over that
-of K with F.  Centred forms take their atom functions on coordinates
-shifted by the component's own atom, which contributes exactly 0, so a
-posterior concentrated there keeps its small spread instead of
-cancelling it; each centred block moment is an expansion on those
-shifted moments, and it and the form go through the one evaluator,
-SymbolicExpansion.evaluate.  Entries whose own-atom term falls below
-OWN_TERM_FLOOR, where far-apart atoms leave the factors underflowing,
-are recomputed exactly by a max-subtracted log-sum-exp of their
-logits; a block of grid columns with no such entry never enters that
-fallback.  Besides G the pass holds F, which takes the per-point
-terms, and blocks of at most MAX_STACK_ELEMENTS floats.  Each rule
-holds its tensor grid as a C-ordered (r, P) array, so the atom-grid
-terms are one matmul onto contiguous rows.
+of K with F.  Every conditional form, centred or not, is taken about
+the own atom: its atom functions are on coordinates shifted by the
+component's own atom, which contributes exactly 0, so neither a
+concentrated posterior nor a law far from 0 cancels its spread.  Forms
+of two slots or more are translation-invariant (one slot is refused).
+Each block moment, its centring or the shifted moment itself, and the
+form go through the one evaluator, SymbolicExpansion.evaluate.  Entries
+whose own-atom term falls below OWN_TERM_FLOOR, where far-apart atoms
+leave the factors underflowing, are recomputed exactly by a
+max-subtracted log-sum-exp of their logits; a block of grid columns
+with no such entry never enters that fallback.  Besides G the pass
+holds F, which takes the per-point terms, and blocks of at most
+MAX_STACK_ELEMENTS floats.  Each rule holds its tensor grid as a
+C-ordered (r, P) array, so the atom-grid terms are one matmul onto
+contiguous rows.
 
 The pass runs on stacks of signal sets, one set per snr row of one law.
 mutual_information_many takes many rows at once: their grid axes come
@@ -657,7 +659,7 @@ def _centring(block) -> SymbolicExpansion:
         sub = tuple(i for i, t in zip(counts, taken) for _ in range(t))
         means = tuple((i,) for i, t in zip(counts, taken) for _ in range(counts[i] - t))
         coeff = (-1) ** len(means) * math.prod(map(math.comb, counts.values(), taken))
-        terms.append((((sub,) if sub else ()) + means, coeff))
+        terms.append(((sub,) + means, coeff))
     return SymbolicExpansion(tuple(terms))
 
 
@@ -665,24 +667,19 @@ def _moment_form(support: np.ndarray, expansion: SymbolicExpansion, centered: bo
     """(phi, term) for _posterior_pass: an expansion on conditional moments.
 
     phi (m, A, A) holds one atom function per raw moment the expansion
-    needs.  Centred, phi[t, a, b] is the product over the ids i of block
-    t of x_{b,i} - x_{a,i}: coordinates shifted by component a's own
-    atom, which contributes exactly 0, so the moments of a posterior
-    concentrated on its own atom do not cancel; term evaluates each
-    block's centring (_centring) on them, then the expansion on the
-    centred block moments.  Uncentred, phi[t, a, b] is the plain product
-    of x_{b,i} over block t, on which term evaluates the expansion.  All
-    of it is SymbolicExpansion.evaluate, elementwise on the grid.
+    needs, on either route: phi[t, a, b] is the product over the ids i
+    of block t of x_{b,i} - x_{a,i}, coordinates shifted by component a's
+    own atom, which contributes exactly 0, so the moments of a posterior
+    concentrated on its own atom do not cancel.  centered selects the
+    block moments: each block's centring (_centring) or its shifted moment.
+    term evaluates them, then the (translation-invariant) expansion on
+    them, all by SymbolicExpansion.evaluate, elementwise on the grid.
     """
     blocks = sorted({b for mono, _ in expansion.terms for b in mono})
-    if centered:
-        centrings = {b: _centring(b) for b in blocks}
-        raw = sorted({f for c in centrings.values() for mono, _ in c.terms for f in mono})
-        # (n, A, A): x_{b,i} - x_{a,i} at [i - 1, a, b]
-        coords = support.T[:, None, :] - support.T[:, :, None]
-    else:
-        raw = blocks
-        coords = support.T[:, None, :]
+    maps = {b: _centring(b) if centered else SymbolicExpansion((((b,), 1),)) for b in blocks}
+    raw = sorted({f for c in maps.values() for mono, _ in c.terms for f in mono})
+    # (n, A, A): x_{b,i} - x_{a,i} at [i - 1, a, b]
+    coords = support.T[:, None, :] - support.T[:, :, None]
     A = support.shape[0]
     phi = np.empty((len(raw), A, A))
     for t, block in enumerate(raw):
@@ -691,9 +688,7 @@ def _moment_form(support: np.ndarray, expansion: SymbolicExpansion, centered: bo
 
     def term(M):
         raw_moment = MomentOracle(lambda block: M[index[block]])
-        if not centered:
-            return expansion.evaluate(raw_moment)
-        moments = {block: c.evaluate(raw_moment) for block, c in centrings.items()}
+        moments = {block: c.evaluate(raw_moment) for block, c in maps.items()}
         return expansion.evaluate(MomentOracle(moments.__getitem__))
 
     return phi, term
@@ -763,22 +758,21 @@ def expected_conditional_tau(
     """Output average of the diverse-partition form of the posterior.
 
     With centered=True, evaluates the blocks-of-size->=-2 expansion on
-    the conditionally centered coordinates X_i - E[X_i|Y], each block
-    moment an expansion on moments shifted by the component's own atom
-    (_centring); with centered=False, the full expansion on raw coordinates.
-    The two agree (conditionally applied centering identity) whenever the
-    slot count is at least 2; the centered path rejects a single slot,
-    whose first-derivative content is carried by mmse/2 instead.  Both go
-    through SymbolicExpansion.evaluate on the pass's block moments.
+    the conditionally centered coordinates X_i - E[X_i|Y] (_centring),
+    with centered=False the full expansion, both on moments about each
+    component's own atom (_moment_form).  For two slots or more the forms
+    are translation-invariant, like cumulants, and agree (conditionally
+    applied centering identity); a single slot, whose full form
+    -E[X|y]**2 / 2 is not, is refused on both routes: mmse/2 carries it.
 
     Binding variable ids index channel coordinates.  At zero snr the
     posterior is the prior and the value is the unconditional form.  A
     non-finite average raises QuadratureUnderflowError, as in
     mutual_information.
     """
-    if centered and binding.n < 2:
+    if binding.n < 2:
         raise DomainError(
-            "centered path needs at least two slots; first-order content goes through mmse"
+            "conditional forms need at least two slots; first-order content goes through mmse"
         )
     if max(binding.variables) > dist.n:
         raise DomainError(

@@ -154,6 +154,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
         print(f"value: {value!r}")
         if not args.no_fd:
             print(f"fd: {payload['fd']!r}")
+            print(f"fd_error: {payload['fd_error']!r}")
             print(f"gap: {payload['gap']!r}")
     return 0
 

@@ -209,8 +209,9 @@ class SymbolicExpansion:
     """Exact-rational linear combination of moment monomials.
 
     A monomial is a multiset of blocks, each block a multiset of
-    variable ids.  Terms are canonical: no zero coefficients, blocks
-    sorted, monomials sorted, fixed term order.
+    variable ids.  Terms are canonical: no zero coefficients, no empty
+    blocks (an empty block's moment is 1, as MomentOracle has it),
+    blocks sorted, monomials sorted, fixed term order.
     """
 
     terms: tuple[tuple[Monomial, Fraction], ...]
@@ -218,7 +219,7 @@ class SymbolicExpansion:
     def __post_init__(self) -> None:
         acc: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms:
-            key = canonical_blocks(mono)
+            key = canonical_blocks(b for b in mono if b)
             coeff = Fraction(coeff)
             acc[key] = acc[key] + coeff if key in acc else coeff
         cleaned = tuple((m, acc[m]) for m in sorted(acc, key=_term_key) if acc[m])

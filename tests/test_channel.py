@@ -65,6 +65,29 @@ def test_rule_order_is_read_as_an_integer():
             gauss_hermite(order)
 
 
+def _rule_parts(order=16):
+    nodes, weights = hermegauss(order)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda x, w: (x[:-1], w[:-1]), "^nodes: expected 16 nodes and weights"),
+        (lambda x, w: (x, np.where(np.arange(16) == 3, np.nan, w)), "^weights: non-finite entries"),
+        (lambda x, w: (x, 2.0 * w), "^weights: sum"),
+        (lambda x, w: (x + 0.1, w), "^nodes: odd moment of order 1"),
+        (lambda x, w: (1.1 * x, w), "^nodes: second moment"),
+    ],
+    ids=["shape", "non-finite", "weight-sum", "odd-moment", "second-moment"],
+)
+def test_rule_refuses_what_does_not_integrate_like_a_standard_normal(change, message):
+    nodes, weights = _rule_parts()
+    QuadratureRule(16, nodes, weights)
+    with pytest.raises(ValidationError, match=message):
+        QuadratureRule(16, *change(nodes, weights))
+
+
 def test_rules_and_grids_are_cached():
     assert gauss_hermite(64) is gauss_hermite(64)
     rule = gauss_hermite(32)
@@ -187,6 +210,19 @@ def test_joint_validation_names_fields():
         DiscreteJoint([[1.0], [float("nan")]], [0.5, 0.5])
     with pytest.raises(ValidationError, match="support"):
         DiscreteJoint([], [])
+    for support, probs, message in [
+        ([[], []], [0.5, 0.5], "^support: points need at least one coordinate"),
+        ([1.0, -1.0], [0.5, 0.5], r"^support: expected a 2-D array of points, got shape \(2,\)"),
+        ([[1.0], [1.0, 2.0]], [0.5, 0.5], r"^support: expected a real number, got \[1\.0\]"),
+        # nested arrays of unequal shapes: numpy cannot even hold them as objects
+        ([np.zeros((2, 1)), np.zeros((2, 2))], [0.5, 0.5], "^support: not a rectangular numeric array"),
+        ([[1.0], [-1.0]], [float("nan"), 0.5], "^probs: non-finite entries"),
+        ([[1.0], [-1.0]], [0.5, float("inf")], "^probs: non-finite entries"),
+        # refused by the unit-sum rule before the mass is looked at
+        ([[1.0], [-1.0]], [0.0, 0.0], "^probs: sum 0.0 is not 1"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            DiscreteJoint(support, probs)
 
 
 def test_joint_drops_zero_atoms_and_merges_duplicates():
@@ -233,6 +269,11 @@ def test_joint_from_dict_names_the_offending_field():
         with pytest.raises(ValidationError, match=f"^{field}: "):
             DiscreteJoint.from_dict({**good, key: value})
     assert DiscreteJoint.from_dict(good).n == 1
+    with pytest.raises(ValidationError, match="^distribution: expected a JSON object"):
+        DiscreteJoint.from_dict([good])
+    for key in good:
+        with pytest.raises(ValidationError, match=f"^{key}: missing"):
+            DiscreteJoint.from_dict({k: v for k, v in good.items() if k != key})
 
 
 def test_channel_spec_validation():
@@ -526,9 +567,15 @@ def test_mmse_channel_index_guard():
             mmse(PAIR, ChannelSpec((0.5, 0.9)), channel=bad)
 
 
-def test_conditional_tau_centered_needs_two_slots():
-    with pytest.raises(DomainError):
-        expected_conditional_tau(TWO_POINT, ChannelSpec((0.5,)), SlotBinding((1,)), centered=True)
+def test_conditional_tau_refuses_one_slot_and_foreign_variables():
+    # the one-slot full form -E[X|y]**2 / 2 is not translation-invariant,
+    # so neither route, both taken about the own atom, evaluates it
+    spec = ChannelSpec((0.5,))
+    for centered in (True, False):
+        with pytest.raises(DomainError, match="^conditional forms need at least two slots"):
+            expected_conditional_tau(TWO_POINT, spec, SlotBinding((1,)), centered=centered)
+        with pytest.raises(DomainError, match="^binding uses variable 2"):
+            expected_conditional_tau(TWO_POINT, spec, SlotBinding((1, 2)), centered=centered)
 
 
 def test_conditional_tau_matches_direct_second_moment_form():

@@ -15,7 +15,8 @@ import pytest
 import mideriv
 from mideriv import cli, closedform
 from mideriv.cli import main
-from mideriv.partitions import enumerate_diverse
+from mideriv.graphs import export_dot, partition_to_graph
+from mideriv.partitions import Partition, enumerate_diverse
 from mideriv.verify import default_derivative_cases, verify_derivatives
 
 TWO_POINT_JSON = '{"n": 1, "support": [[1.0], [-1.0]], "probs": [0.5, 0.5]}\n'
@@ -69,6 +70,15 @@ def test_partitions_dot_format(capsys):
     assert code == 0
     assert 'v0 -- v1 [label="1"];' in out
     assert out.strip().endswith("// count: 1")
+
+
+def test_partitions_table_prints_each_graph_under_its_partition(capsys):
+    code, out, _ = run(capsys, "partitions", "--n", "2", "--min-block-size", "2", "--graphs")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "0: {1,2}{1,2}"
+    assert "\n".join(lines[1:-1]) == export_dot(partition_to_graph(Partition(((1, 2), (1, 2)))), name="p0")
+    assert lines[-1] == "count: 1"
 
 
 def test_partitions_size_limit_error(capsys):
@@ -158,6 +168,17 @@ def test_tau_numeric_gives_the_battery_row(capsys, dist_file):
     assert payload["fd_error"] == row.fd_error
     assert payload["value"] == row.formula
     assert payload["gap"] == row.gap
+
+
+def test_tau_numeric_table_prints_the_payload_numbers(capsys, dist_file):
+    argv = ("tau", "--multiplicities", "2", "--dist", dist_file, "--snr", "0.8")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = [line.split(": ", 1) for line in out.splitlines()]
+    assert lines == [[key, repr(payload[key])] for key in ("value", "fd", "fd_error", "gap")]
 
 
 def test_tau_numeric_past_fd_orders_needs_no_fd(capsys, dist_file):
@@ -326,6 +347,10 @@ def test_mi_invalid_dist_payload(capsys, tmp_path):
     code, _, err = run(capsys, "mi", "--dist", str(path), "--snr", "1")
     assert code == 2
     assert err.startswith("mideriv: error[validation]: probs")
+    path.write_text('{"n": 1, "support": [[1.0], [-1.0]],', encoding="utf-8")
+    code, out, err = run(capsys, "mi", "--dist", str(path), "--snr", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"mideriv: error[validation]: dist file {path}: not valid JSON")
 
 
 def test_mi_non_numeric_probs_name_the_probs_field(capsys, tmp_path):
@@ -362,6 +387,9 @@ def test_bad_snr_text(capsys, dist_file):
     code, _, err = run(capsys, "mi", "--dist", dist_file, "--snr", "one")
     assert code == 2
     assert err.startswith("mideriv: error[validation]: snr")
+    code, out, err = run(capsys, "mi", "--dist", dist_file, "--snr", ",")
+    assert (code, out) == (2, "")
+    assert err == "mideriv: error[validation]: snr: ',' holds no values\n"
 
 
 def test_unknown_suite_is_usage_error(capsys):

@@ -27,6 +27,8 @@ def test_two_point_mi_endpoints_and_value():
 def test_two_point_mmse_endpoints():
     assert abs(closedform.two_point_mmse(0.0) - 1.0) < 1e-12
     assert closedform.two_point_mmse(5.0) < 0.1
+    with pytest.raises(DomainError, match=r"^snr=-1\.0: must be >= 0"):
+        closedform.two_point_mmse(-1.0)
 
 
 def test_two_point_oracles_match_forty_digit_values():

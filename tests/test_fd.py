@@ -103,6 +103,16 @@ def test_fd_validation_and_domain_guard():
             fd_partial(f, (1,), (bad,))
 
 
+def test_fornberg_weights_need_distinct_and_enough_offsets():
+    for offsets, message in [
+        ((-1, 0, 0, 1), "^offsets: repeated abscissa"),
+        ((0, Fraction(0)), "^offsets: repeated abscissa"),
+        ((-1, 1), "^offsets: need at least 3 points for derivative order 2"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            fornberg_weights(2, offsets)
+
+
 def test_check_partial_states_the_rule_once():
     assert check_partial((np.int64(2), 0), (np.float64(0.5), 3)) == ((2, 0), (0.5, 3.0))
     assert all(type(x) is float for x in check_partial((1, 0), (1, Fraction(1, 2)))[1])

@@ -110,6 +110,10 @@ def test_slot_binding_from_multiplicities():
     for bad in (1.7, "2", True):
         with pytest.raises(ValidationError, match="variables"):
             SlotBinding((bad, 2))
+    with pytest.raises(ValidationError, match="^variables: a binding needs at least one slot"):
+        SlotBinding(())
+    with pytest.raises(ValidationError, match="^variables: variable ids are 1-based"):
+        SlotBinding((0, 1))
 
 
 def weighted(partitions, n, min_block_size):
@@ -250,6 +254,11 @@ def test_expansion_merges_and_drops_zero_terms():
     ex = SymbolicExpansion(((mono[0], HALF), (mono[0], -HALF)))
     assert ex.terms == ()
     assert ex.pretty() == "0"
+    # an empty block is the moment 1, so it drops out and equal monomials merge
+    ex = SymbolicExpansion(((((), (1,)), 1), (((1,),), 2)))
+    assert ex.terms == ((((1,),), Fraction(3)),)
+    assert ex.pretty() == "3*M1"
+    assert SymbolicExpansion(((((),), 1), ((), 2))).pretty() == "3"
 
 
 def test_expansion_json_round_trip():
@@ -336,6 +345,13 @@ def test_atoms_oracle_exact_prior_moments():
     oracle = atoms_moment_oracle(atoms, probs)
     assert oracle((1,)) == Fraction(1, 3) - Fraction(2, 3)
     assert oracle((1, 2, 2)) == Fraction(1, 3) * 1 * 4 + Fraction(2, 3) * (-1) * 0
+
+
+def test_oracles_refuse_what_they_were_not_given():
+    with pytest.raises(DomainError, match="^moment of order 3 requested but only 2 supplied"):
+        univariate_moment_oracle([1, 2])((1, 1, 1))
+    with pytest.raises(ValidationError, match="^probs: length 1 does not match support length 2"):
+        atoms_moment_oracle([(1,), (2,)], [1])
 
 
 def test_atoms_oracle_keeps_rational_atoms_exact_and_memoized():

@@ -83,6 +83,14 @@ def test_multigraph_validation():
         LabeledMultigraph(3, ((0, 1, 2), (1, 2, 1)))  # labels out of order
     with pytest.raises(DomainError):
         LabeledMultigraph(2, ((0, 1.0, 1),))  # float endpoint would print as v1.0
+    for count, edges, message in [
+        (0, (), r"^vertex_count=0: need an integer >= 1"),
+        (2, [(0, 1, 1)], "^edges: expected a tuple, got list"),
+        (2, ((0, 1),), r"^edge \(0, 1\): expected a \(u, v, label\) tuple"),
+        (2, ([0, 1, 1],), r"^edge \[0, 1, 1\]: expected a \(u, v, label\) tuple"),
+    ]:
+        with pytest.raises(DomainError, match=message):
+            LabeledMultigraph(count, edges)
 
 
 def test_graph_to_partition_rejects_isolated_vertex():

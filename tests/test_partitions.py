@@ -130,6 +130,9 @@ def test_partition_rejects_non_integer_indices():
     for bad in (1.2, "1", True):
         with pytest.raises(ValidationError, match="blocks"):
             Partition([[bad, 2], [1, 2]])
+    # a block that is no list of integers at all
+    with pytest.raises(ValidationError, match="^blocks: not a list of integer blocks"):
+        Partition([[1, 2], 1, 2])
     assert Partition([[np.int64(1), 2], [1, 2]]).blocks == ((1, 2), (1, 2))
 
 

@@ -168,6 +168,17 @@ def test_cases_on_one_law_and_rule_share_mi_samples(monkeypatch):
     assert shared < len(calls)
 
 
+def test_a_law_shifted_off_zero_passes_its_battery_row():
+    # both conditional forms are taken about the own atom, so the
+    # two-point law moved to {4, 6} keeps the centring identity; with
+    # raw moments about 0 its uncentred d(4) was 1.2e-8 off
+    shifted = DiscreteJoint([[6.0], [4.0]], [0.5, 0.5])
+    case = DerivativeCase("two-point + 5", shifted, DerivativeRequest((4,), (0.8,)), 128)
+    (row,) = verify_derivatives(cases=[case]).cases
+    assert row.passed, row
+    assert row.centering_gap <= CENTERING_TOL
+
+
 def test_formula_matches_the_stored_two_point_references():
     # 40-digit mpmath values, made apart from mideriv (see the file's provenance)
     data = json.loads((Path(__file__).parent / "data" / "two_point_references.json").read_text(encoding="utf-8"))
