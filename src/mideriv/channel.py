@@ -61,6 +61,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
+from .constants import DEFAULT_QUAD_ORDER
 from .errors import (
     DomainError,
     QuadratureUnderflowError,
@@ -75,7 +76,6 @@ MIN_QUAD_ORDER = 16
 # hermegauss's weight recurrence overflows around order 320 and returns
 # NaN weights; 300 is verified clean.
 MAX_QUAD_ORDER = 300
-DEFAULT_QUAD_ORDER = 64
 MAX_ATOMS = 64
 # Joint cap on atoms * order**rank, counted on the unpruned grid so the
 # limits do not depend on GRID_WEIGHT_FLOOR: G holds one float per atom
@@ -195,12 +195,22 @@ def gauss_hermite(order: int) -> QuadratureRule:
 
 
 def _real_array(value, field: str) -> np.ndarray:
-    """value as a float array whose every entry passed errors.real."""
+    """value as a float array whose every entry passed errors.real.
+
+    A ragged value is not rectangular: numpy holds its rows as the
+    entries of an object array, so an entry that is itself a sequence
+    is refused as such.
+    """
     try:
         entries = np.asarray(value, dtype=object)
     except ValueError as exc:
         raise ValidationError(f"{field}: not a rectangular numeric array ({exc})") from exc
-    return np.array([real(x, ValidationError, field) for x in entries.flat]).reshape(entries.shape)
+    values = []
+    for x in entries.flat:
+        if isinstance(x, (list, tuple, np.ndarray)):
+            raise ValidationError(f"{field}: not a rectangular numeric array (entry {x!r} is a sequence)")
+        values.append(real(x, ValidationError, field))
+    return np.array(values).reshape(entries.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,9 +248,8 @@ class DiscreteJoint:
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probs: sum {total!r} is not 1 within 1e-12")
+        # the unit sum leaves at least one atom with mass
         keep = probs != 0.0
-        if not keep.any():
-            raise ValidationError("probs: all atoms have zero mass")
         # + 0.0 turns -0.0 into 0.0, so signed zeros merge; merged points
         # keep the order of their first occurrence and add their masses
         # in input order
@@ -407,7 +416,8 @@ def _difference_basis(v: np.ndarray, probs: np.ndarray) -> list[tuple[np.ndarray
             f"quadrature paths support rank 0..{MAX_TENSOR_DIM}"
         )
     groups = []
-    for rank in np.unique(ranks).tolist():
+    # not np.unique: numpy's _unique1d imports numpy.ma on first use
+    for rank in sorted(set(ranks.tolist())):
         rows = np.flatnonzero(ranks == rank)
         if rank == 0:
             U = np.zeros((len(rows), n, 1))

@@ -7,6 +7,9 @@ All JSON payloads carry a top-level "schema": 1 and are byte-stable
 for a fixed (command, seed, config).  A payload is one compact line
 with sorted keys (pipe it to ``python -m json.tool`` to read it);
 verify reports keep their indented layout.
+
+The numeric modules (channel, verify) are imported by the commands that
+compute with them, so `partitions` and `tau --symbolic` never load numpy.
 """
 from __future__ import annotations
 
@@ -15,13 +18,16 @@ import gc
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .channel import DEFAULT_QUAD_ORDER, ChannelSpec, DiscreteJoint, gauss_hermite, mutual_information
+from .constants import DEFAULT_QUAD_ORDER, SCHEMA_VERSION, SUITE_NAMES
 from .errors import DomainError, QuadratureUnderflowError, SizeLimitError, ValidationError
 from .forms import SlotBinding, tau_symbolic
 from .graphs import export_dot, partition_to_graph
 from .partitions import enumerate_diverse
-from .verify import SCHEMA_VERSION, SUITE_NAMES, DerivativeRequest, fd_mi_partial, partition_formula, run_suite
+
+if TYPE_CHECKING:
+    from .channel import DiscreteJoint
 
 ERROR_CODES = {
     ValidationError: "validation",
@@ -58,6 +64,8 @@ def _parse_list(text: str, name: str, kind: type) -> tuple:
 
 
 def _load_dist(path: str) -> DiscreteJoint:
+    from .channel import DiscreteJoint
+
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -130,6 +138,9 @@ def cmd_tau(args: argparse.Namespace) -> int:
         return 0
     if not args.dist or args.snr is None:
         raise ValidationError("dist: numeric mode needs --dist FILE and --snr (or pass --symbolic)")
+    from .channel import gauss_hermite
+    from .verify import DerivativeRequest, fd_mi_partial, partition_formula
+
     dist = _load_dist(args.dist)
     request = DerivativeRequest(multiplicities, _parse_list(args.snr, "snr", float))
     quad_order = DEFAULT_QUAD_ORDER if args.quad_order is None else args.quad_order
@@ -160,6 +171,8 @@ def cmd_tau(args: argparse.Namespace) -> int:
 
 
 def cmd_mi(args: argparse.Namespace) -> int:
+    from .channel import ChannelSpec, gauss_hermite, mutual_information
+
     dist = _load_dist(args.dist)
     snr = _parse_list(args.snr, "snr", float)
     spec = ChannelSpec(snr)
@@ -172,6 +185,8 @@ def cmd_mi(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
+
     report = run_suite(args.suite, seed=args.seed)
     if args.format == "json":
         text = report.to_json()

@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, SizeLimitError, ValidationError, integer
@@ -232,18 +232,25 @@ class SymbolicExpansion:
         object.__setattr__(expansion, "terms", terms)
         return expansion
 
+    @cached_property
+    def _float_terms(self) -> tuple[tuple[Monomial, float], ...]:
+        """The terms with their coefficients as floats, converted once."""
+        return tuple((mono, float(coeff)) for mono, coeff in self.terms)
+
     def evaluate(self, oracle: MomentOracle):
         """Sum of coefficient * product of block moments.
 
-        Exact oracles keep Fractions end to end; otherwise coefficients
-        are converted to float once per term, and the moments may be
-        arrays (one value per quadrature point), summed elementwise.
+        Exact oracles keep Fractions end to end; otherwise the
+        coefficients are floats, converted once per expansion, and the
+        moments may be arrays (one value per quadrature point), summed
+        elementwise.  The blocks are canonical (sorted, never empty), so
+        each goes to oracle.fn as it is.
         """
+        fn = oracle.fn
         total = Fraction(0) if oracle.exact else 0.0
-        for mono, coeff in self.terms:
-            v = coeff if oracle.exact else float(coeff)
+        for mono, v in self.terms if oracle.exact else self._float_terms:
             for block in mono:
-                v = v * oracle(block)
+                v = v * fn(block)
             total = total + v
         return total
 

@@ -32,6 +32,7 @@ from .channel import (
     mutual_information,
     mutual_information_many,
 )
+from .constants import SCHEMA_VERSION, SUITE_NAMES
 from .errors import DomainError, ValidationError
 from .fd import BASE_STEP, RICHARDSON_LEVELS, STEP_FRACTION, check_partial, fd_partial
 from .forms import (
@@ -57,9 +58,6 @@ CUMULANT_TRIALS = 50
 GAUSSIAN_MAX_ORDER = 6
 
 ADOPTED_CONVENTION = "dI/dsnr_i = E[(X_i - E[X_i|Y])^2] / 2"
-
-# Top-level "schema" of every JSON payload: reports and CLI commands.
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -578,15 +576,20 @@ def verify_all(seed: int = 0) -> VerificationReport:
     )
 
 
-SUITE_RUNNERS = {
-    "theorem1": verify_derivatives,
-    "lemma1": verify_multiquadratic,
-    "lemma2": verify_snr_combining,
-    "gaussian": verify_gaussian_chain,
-    "cumulants": verify_cumulant_routes,
-    "all": verify_all,
-}
-SUITE_NAMES = tuple(SUITE_RUNNERS)
+SUITE_RUNNERS = dict(
+    zip(
+        SUITE_NAMES,
+        (
+            verify_derivatives,
+            verify_multiquadratic,
+            verify_snr_combining,
+            verify_gaussian_chain,
+            verify_cumulant_routes,
+            verify_all,
+        ),
+        strict=True,
+    )
+)
 
 
 def run_suite(name: str, seed: int = 0) -> VerificationReport:

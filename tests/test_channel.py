@@ -213,7 +213,9 @@ def test_joint_validation_names_fields():
     for support, probs, message in [
         ([[], []], [0.5, 0.5], "^support: points need at least one coordinate"),
         ([1.0, -1.0], [0.5, 0.5], r"^support: expected a 2-D array of points, got shape \(2,\)"),
-        ([[1.0], [1.0, 2.0]], [0.5, 0.5], r"^support: expected a real number, got \[1\.0\]"),
+        # ragged rows: numpy holds them as the entries of an object array
+        ([[1.0], [1.0, 2.0]], [0.5, 0.5], r"^support: not a rectangular numeric array \(entry \[1\.0\]"),
+        ([[1.0], [-1.0]], [0.5, [0.5]], "^probs: not a rectangular numeric array"),
         # nested arrays of unequal shapes: numpy cannot even hold them as objects
         ([np.zeros((2, 1)), np.zeros((2, 2))], [0.5, 0.5], "^support: not a rectangular numeric array"),
         ([[1.0], [-1.0]], [float("nan"), 0.5], "^probs: non-finite entries"),

@@ -362,6 +362,14 @@ def test_mi_non_numeric_probs_name_the_probs_field(capsys, tmp_path):
     assert err.startswith("mideriv: error[validation]: probs: ")
 
 
+def test_mi_ragged_support_is_not_rectangular(capsys, tmp_path):
+    path = tmp_path / "ragged.json"
+    path.write_text('{"n": 1, "support": [[1.0], [1.0, 2.0]], "probs": [0.5, 0.5]}', encoding="utf-8")
+    code, out, err = run(capsys, "mi", "--dist", str(path), "--snr", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("mideriv: error[validation]: support: not a rectangular numeric array")
+
+
 def test_mi_binary_dist_file_is_a_validation_error(capsys, tmp_path):
     path = tmp_path / "law.bin"
     path.write_bytes(b"\x80\xff{\"n\": 1}")
