@@ -11,14 +11,14 @@ weight of atom b is proportional to
 so the posterior reads the signals only through their differences.  The
 output enters only through the projections (v_b - v_a) . z, so every
 integral against the standard Gaussian z runs on a tensor Gauss-Hermite
-grid over an orthonormal basis of span{v_b - v_0}: r axes, r = rank <=
-min(n, atoms - 1), whatever the channel count.  A full-rank span keeps
-the n coordinate axes; otherwise the axes are the principal axes of the
-atoms turned onto the grid diagonals.  A duplicated signal (r = 1) is
-one channel at the summed snr.  The grid is pruned: it keeps only the
-points whose product weight is at least GRID_WEIGHT_FLOOR = 1e-30 times
-the largest, and the points it drops carry less than 1e-29 of the
-weight.
+grid over span{v_b - v_a}: r axes, r = rank <= min(n, atoms - 1),
+whatever the channel count, set by one SVD of the centred signals.  A
+full-rank span keeps the n coordinate axes; otherwise the axes are the
+principal axes of the atoms turned onto the grid diagonals.  A
+duplicated signal (r = 1) is one channel at the summed snr.  The grid is
+pruned: it keeps only the points whose product weight is at least
+GRID_WEIGHT_FLOOR = 1e-30 times the largest, and the points it drops
+carry less than 1e-29 of the weight.
 
 Every value is one posterior pass, _posterior_pass.  The logit of atom
 b in the component of atom a splits into an atom-pair part and an
@@ -46,7 +46,7 @@ contiguous rows.
 
 The pass runs on stacks of signal sets, one set per snr row of one law.
 mutual_information_many takes many rows at once: their grid axes come
-from batched SVDs, rows of one rank share a grid, and each stack of at
+from one batched SVD, rows of one rank share a grid, and each stack of at
 most MAX_STACK_ELEMENTS floats per array goes through the pass together.
 Every row's value has the bits of its one-row call, which is what
 mutual_information, mmse and expected_conditional_tau make.
@@ -387,28 +387,33 @@ def _orientation(Y: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return signs[best]
 
 
-def _difference_basis(v: np.ndarray, probs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Grid axes of a stack v (S, A, n) of signal sets, grouped by rank.
+def _grid_coordinates(v: np.ndarray, probs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Centred signals of a stack v (S, A, n) of sets in grid coordinates.
 
-    Returns [(rows, U)], one entry per rank r present in ascending order:
-    the indices of the sets of that rank and their orthonormal axes U
-    (len(rows), n, max(r, 1)) spanning span{v_b - v_0}.  The rank and
-    the span come from the SVD of v[1:] - v[0], at the default tolerance
-    of np.linalg.matrix_rank; a rank above MAX_TENSOR_DIM raises
+    Returns [(rows, Y)], one entry per rank r present in ascending order:
+    the indices of the sets of that rank and Y (len(rows), A, max(r, 1)).
+    One SVD gives the rank (at the np.linalg.matrix_rank tolerance), the
+    span of the differences and its principal axes.  Non-finite centred
+    signals raise QuadratureUnderflowError, a rank above MAX_TENSOR_DIM
     SizeLimitError.  Rank n keeps the coordinate axes, and rank 0 (one
     atom, or zero snr) gets one null axis, on which every logit is flat.
-    Otherwise the axes are the principal axes of the centered atoms, with
-    ties settled by _atom_frame and signs by _orientation, turned by
-    _DIAGONALS.  They depend on the law, not on the order of its atoms
-    or channels, so permuting either leaves every projected value
-    unchanged.  Every set gets the axes it would get alone.
+    Otherwise Y holds the principal coordinates, ties settled by
+    _atom_frame and signs by _orientation, turned by _DIAGONALS.  The
+    axes do not depend on the channel order, nor on the atom order
+    unless _atom_frame takes tied atoms that no symmetry of the law
+    relates in stored order: permuting those moves a value within the
+    quadrature error.  A set gets the Y it gets alone.
     """
-    S, A, n = v.shape
-    ranks = np.zeros(S, dtype=int)
-    if A > 1:
-        diff = v[:, 1:] - v[:, :1]
-        _, s, vt = np.linalg.svd(diff, full_matrices=False)
-        ranks = (s > s.max(axis=1, keepdims=True) * max(A - 1, n) * np.finfo(float).eps).sum(axis=1)
+    A, n = v.shape[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = v - v.mean(axis=1, keepdims=True)
+        # the rounding of the mean, a shift shared by every atom, would add a
+        # singular value of about eps * |mean v| and raise the rank: centre again
+        d = c - c.mean(axis=1, keepdims=True)
+    if not np.isfinite(d).all():
+        raise QuadratureUnderflowError("centred signals are not finite: the support or snr overflows float64")
+    _, s, vt = np.linalg.svd(d, full_matrices=False)
+    ranks = (s > s[:, :1] * max(A, n) * np.finfo(float).eps).sum(axis=1)
     over = np.flatnonzero(ranks > MAX_TENSOR_DIM)
     if len(over):
         raise SizeLimitError(
@@ -420,26 +425,22 @@ def _difference_basis(v: np.ndarray, probs: np.ndarray) -> list[tuple[np.ndarray
     for rank in sorted(set(ranks.tolist())):
         rows = np.flatnonzero(ranks == rank)
         if rank == 0:
-            U = np.zeros((len(rows), n, 1))
+            Y = np.zeros((len(rows), A, 1))
         elif rank == n:
-            U = np.broadcast_to(np.eye(n), (len(rows), n, n))
+            Y = c[rows]
         else:
-            span = vt[rows, :rank].transpose(0, 2, 1)
-            w = v[rows]
-            Y = (w - w.mean(axis=1, keepdims=True)) @ span
-            _, s, rt = np.linalg.svd(Y, full_matrices=False)
-            R = rt.transpose(0, 2, 1)
-            tied = ~(s[:, :-1] - s[:, 1:] > _TIED_AXES * s[:, :1])
+            Y = c[rows] @ vt[rows, :rank].transpose(0, 2, 1)
+            tied = ~(s[rows, : rank - 1] - s[rows, 1:rank] > _TIED_AXES * s[rows, :1])
             for i in np.flatnonzero(tied.any(axis=1)):
-                Ri, start = R[i], 0
+                start = 0
                 for end in range(1, rank + 1):
                     if end == rank or not tied[i, end - 1]:
                         if end - start > 1:
-                            Ri[:, start:end] = Ri[:, start:end] @ _atom_frame(Y[i] @ Ri[:, start:end], probs)
+                            Y[i, :, start:end] = Y[i, :, start:end] @ _atom_frame(Y[i, :, start:end], probs)
                         start = end
-            R *= _orientation(Y @ R, probs)[:, None, :]
-            U = span @ R @ _DIAGONALS[rank]
-        groups.append((rows, U))
+            Y *= _orientation(Y, probs)[:, None, :]
+            Y = Y @ _DIAGONALS[rank]
+        groups.append((rows, Y))
     return groups
 
 
@@ -452,15 +453,14 @@ def _grid_parts(dist: DiscreteJoint, snrs, quad: QuadratureRule | None):
     mismatch, raises DomainError before anything is built.
 
     With v = sqrt(l) * x, D[a, b] = |v_a - v_b|**2 / 2 and (v_b - v_a) . z
-    are all the component of atom a needs; splitting z = U t + z_perp over
-    the grid axes U of the difference span, z_perp drops out of every
-    difference, so G = ((v - mean v) @ U) @ Z on the tensor grid Z, held
-    by the rule as a C-ordered (r, P) array with one row per column of
-    U; the mean cancels in G[b] - G[a], and taking
-    it out keeps atoms far from 0 from rounding away their spread.  A
-    rank above MAX_TENSOR_DIM, or more than MAX_GRID_ATOM_POINTS atoms
-    times grid points at any row, raises SizeLimitError before any grid
-    or stack is built.
+    are all the component of atom a needs.  The part of z off the span of
+    the differences drops out of them, so G = Y @ Z, with Y the centred
+    signals in grid coordinates (_grid_coordinates) and Z the tensor grid,
+    held by the rule as a C-ordered (r, P) array; the mean cancels in
+    G[b] - G[a], and taking it out keeps atoms far from 0 from rounding
+    away their spread.  Non-finite centred signals, a rank above
+    MAX_TENSOR_DIM, or more than MAX_GRID_ATOM_POINTS atoms times grid
+    points at any row raise before any grid or stack is built.
 
     Rows of one rank share a grid; they go out in stacks (S, A, A) of D
     and (S, A, P) of G, S as large as MAX_STACK_ELEMENTS allows, and
@@ -477,20 +477,17 @@ def _grid_parts(dist: DiscreteJoint, snrs, quad: QuadratureRule | None):
         raise DomainError(f"quadrature order {quad.order} is below the minimum {MIN_QUAD_ORDER}")
     A, n = dist.support.shape
     v = dist.support * np.sqrt(np.array(snrs, dtype=float).reshape(-1, n))[:, None, :]
-    groups = _difference_basis(v, dist.probs)
-    for _, U in groups:
-        axes = U.shape[2]
-        size = A * quad.order**axes
+    groups = _grid_coordinates(v, dist.probs)
+    for _, Y in groups:
+        size = A * quad.order ** Y.shape[2]
         if size > MAX_GRID_ATOM_POINTS:
             raise SizeLimitError(
-                f"{A} atoms on a rank-{axes} order-{quad.order} grid make "
+                f"{A} atoms on a rank-{Y.shape[2]} order-{quad.order} grid make "
                 f"{size} atom-points: the limit is {MAX_GRID_ATOM_POINTS}"
             )
     logp = np.log(dist.probs)
-    for rows, U in groups:
-        points, W = quad.tensor(U.shape[2])
-        # the transposed view of the points is the rule's (r, P) array
-        Z = points.T
+    for rows, Y in groups:
+        points, W = quad.tensor(Y.shape[2])
         step = max(1, MAX_STACK_ELEMENTS // (A * max(len(W), A * n)))
         for lo in range(0, len(rows), step):
             x = v[rows[lo : lo + step]]
@@ -499,8 +496,8 @@ def _grid_parts(dist: DiscreteJoint, snrs, quad: QuadratureRule | None):
             # weight 0
             with np.errstate(over="ignore"):
                 D = 0.5 * ((x[:, :, None, :] - x[:, None, :, :]) ** 2).sum(axis=3)
-            G = ((x - x.mean(axis=1, keepdims=True)) @ U[lo : lo + step]) @ Z
-            yield rows[lo : lo + step], logp, D, G, W
+            # points.T is the rule's C-ordered (r, P) array, not a copy
+            yield rows[lo : lo + step], logp, D, Y[lo : lo + step] @ points.T, W
 
 
 def _exact_entries(logp, D, G, low, out, phi=None) -> None:
@@ -727,10 +724,10 @@ def mutual_information(
     a log-sum-exp where that term underflows (_posterior_pass).  The
     one-row case of mutual_information_many.
 
-    Raises QuadratureUnderflowError when the average is not finite (a
-    signal sqrt(l) x that overflows float64), and SizeLimitError when
-    the support differences span more than MAX_TENSOR_DIM dimensions or
-    the grid exceeds MAX_GRID_ATOM_POINTS.
+    Raises QuadratureUnderflowError when a centred signal or the average
+    is not finite (a signal sqrt(l) x, or their mean, that overflows
+    float64), and SizeLimitError when the support differences span more
+    than MAX_TENSOR_DIM dimensions or the grid exceeds MAX_GRID_ATOM_POINTS.
     """
     return float(mutual_information_many(dist, [spec.snr], quad)[0])
 

@@ -49,8 +49,9 @@ def _header(command: str) -> dict:
 
 def _print_json(payload: dict) -> None:
     # No indent: with one, the json module leaves its C encoder for the
-    # pure-Python one, several times slower on large expansions.
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    # pure-Python one, several times slower on large expansions.  Objects
+    # (partitions, an expansion) become dicts only as the encoder writes them.
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":"), default=lambda obj: obj.to_dict()))
 
 
 def _parse_list(text: str, name: str, kind: type) -> tuple:
@@ -87,7 +88,7 @@ def cmd_partitions(args: argparse.Namespace) -> int:
             "n": args.n,
             "min_block_size": args.min_block_size,
             "count": len(parts),
-            "partitions": [p.to_dict() for p in parts],
+            "partitions": parts,
         }
         if dots is not None:
             payload["graphs"] = dots
@@ -128,7 +129,7 @@ def cmd_tau(args: argparse.Namespace) -> int:
                 "mode": "symbolic",
                 "multiplicities": list(multiplicities),
                 "centered": bool(args.bar),
-                "expansion": expansion.to_dict(),
+                "expansion": expansion,
                 "pretty": expansion.pretty(),
             }
             _print_json(payload)

@@ -27,7 +27,7 @@ from mideriv.channel import (
     mmse,
     mutual_information,
     mutual_information_many,
-    _difference_basis,
+    _grid_coordinates,
     _grid_parts,
     _orientation,
     _posterior_pass,
@@ -146,11 +146,11 @@ def _unpruned_pass(dist, spec, order, moments=None):
     nodes, weights = hermegauss(order)
     ((_, logp, D, _, _),) = _grid_parts(dist, [spec.snr], gauss_hermite(order))
     v = dist.support * np.sqrt(spec.snr)
-    ((_, U),) = _difference_basis(v[None], dist.probs)
-    dim = U.shape[2]
+    ((_, Y),) = _grid_coordinates(v[None], dist.probs)
+    dim = Y.shape[2]
     T = np.stack([m.ravel() for m in np.meshgrid(*([nodes] * dim), indexing="ij")], axis=1)
     W = _unpruned_product_weights(weights / math.sqrt(2.0 * math.pi), dim)
-    return _posterior_pass(dist.probs, logp, D, ((v - v.mean(axis=0)) @ U[0] @ T.T)[None], W, moments)[0]
+    return _posterior_pass(dist.probs, logp, D, Y @ T.T, W, moments)[0]
 
 
 def _shifted(dist, *ids):
@@ -376,6 +376,57 @@ def test_mi_dimension_guards():
         spec = ChannelSpec(tuple(0.1 * (i + 1) for i in range(n)))
         value = mutual_information(wide, spec, quad)
         assert abs(value - closedform.two_point_mi(sum(spec.snr))) < 1e-12
+
+
+def test_grid_coordinates_keep_the_distances_between_signals():
+    # one SVD of the centred signals: every set gets one column per rank
+    # of its differences (one null column at rank 0), the distances
+    # between its atoms unchanged, and the coordinates it gets alone
+    rng = np.random.default_rng(5)
+    for trial in range(80):
+        n = int(rng.integers(1, 5))
+        rank = int(rng.integers(0, min(n, 3) + 1))
+        atoms = 1 if rank == 0 else int(rng.integers(rank + 1, rank + 6))
+        support = rng.normal(size=(atoms, max(rank, 1))) @ rng.normal(size=(max(rank, 1), n))
+        probs = rng.uniform(1.0, 4.0, atoms)
+        probs /= probs.sum()
+        # zero snr on some channels, and on all of them in the last row
+        snrs = rng.uniform(0.1, 3.0, size=(4, n)) * (rng.random((4, n)) > 0.2)
+        snrs[-1] = 0.0
+        v = support[None] * np.sqrt(snrs)[:, None, :]
+        groups = _grid_coordinates(v, probs)
+        assert sorted(i for rows, _ in groups for i in rows) == list(range(len(snrs)))
+        for rows, Y in groups:
+            for i, y in zip(rows, Y):
+                expected = np.linalg.matrix_rank(v[i, 1:] - v[i, :1]) if atoms > 1 else 0
+                assert y.shape == (atoms, max(expected, 1))
+                if expected == 0:
+                    assert not y.any()
+                dv = np.linalg.norm(v[i, :, None] - v[i, None], axis=2)
+                dy = np.linalg.norm(y[:, None] - y[None], axis=2)
+                assert (np.abs(dy - dv) <= 1e-12 * dv).all()
+                ((_, alone),) = _grid_coordinates(v[i : i + 1], probs)
+                assert np.array_equal(alone[0], y)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_centred_signals_that_overflow_raise_before_the_svd():
+    # signals of 1e350 are not finite, and the mean of 1.5e308 and
+    # 1.6e308 overflows although the signals and their difference do not;
+    # either stops the grid before the SVD sees a NaN
+    huge = DiscreteJoint([[1e200], [-1e200]], [0.5, 0.5])
+    edge = DiscreteJoint([[1.5e308], [1.6e308]], [0.5, 0.5])
+    for dist, good, bad in ((huge, (1.0,), (1e300,)), (edge, (1e-4,), (1.0,))):
+        spec = ChannelSpec(bad)
+        for call in (
+            lambda: mutual_information(dist, spec),
+            lambda: mutual_information_many(dist, [good, bad, good]),
+            lambda: mmse(dist, spec),
+            lambda: expected_conditional_tau(dist, spec, SlotBinding((1, 1))),
+        ):
+            with pytest.raises(QuadratureUnderflowError, match="^centred signals are not finite: .* overflows float64"):
+                call()
+        assert abs(mutual_information(dist, ChannelSpec(good)) - math.log(2)) < 1e-15
 
 
 def _orientation_reference(Y, probs):

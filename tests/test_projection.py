@@ -6,7 +6,8 @@ through the same posterior pass; that grid is pruned to the points
 above the weight floor like every grid of the rule.  Rank-deficient laws must agree with
 it at converged orders; full-rank laws, which keep the coordinate axes,
 must agree bit for bit.  Symmetric laws, whose principal axes tie, check that
-the projected grid does not turn with the order of atoms or channels.  A batch
+the projected grid does not turn with the order of atoms or channels; a law
+whose tied atoms no symmetry relates turns it, within the quadrature error.  A batch
 of snr rows, grouped by rank and stacked, must give each row the bits of its
 one-row call.
 """
@@ -168,6 +169,25 @@ def test_projected_values_ignore_atom_and_channel_order(support, probs, snr):
             dist = DiscreteJoint([[support[a][i] for i in perm] for a in order], [probs[a] for a in order])
             value = mutual_information(dist, ChannelSpec([snr[i] for i in perm]), quad)
             assert abs(value - base) <= 1e-12 * max(1.0, base)
+
+
+def test_tied_atoms_no_symmetry_relates_move_values_within_quadrature_error():
+    # three triangles on the unit circle, turned by 0, 20 and 50 degrees:
+    # the principal axes tie and every atom has the same distance and
+    # mass, so _atom_frame takes the first stored atom, and the grid turns
+    # with the atom order; the values move within the quadrature error
+    # (2.7e-9 in mi at order 16), which is float64 roundoff by order 64
+    e1, e2 = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), np.array([0.0, 1.0, 0.0])
+    triangles = [(0, 120, 240), (20, 140, 260), (50, 170, 290)]
+    spec, quad = ChannelSpec((1.0, 1.0, 1.0)), gauss_hermite(64)
+    values = []
+    for first in range(3):
+        angles = np.radians([a for t in triangles[first:] + triangles[:first] for a in t])
+        dist = DiscreteJoint(np.cos(angles)[:, None] * e1 + np.sin(angles)[:, None] * e2, [1 / 9] * 9)
+        values.append((mutual_information(dist, spec, quad), mmse(dist, spec, 1, quad)))
+    for mi, mm in values[1:]:
+        assert abs(mi - values[0][0]) <= 1e-12
+        assert abs(mm - values[0][1]) <= 1e-12
 
 
 def _stencil_points(orders, point):
