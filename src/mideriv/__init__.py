@@ -7,8 +7,9 @@ partitions of doubled index multisets, and cross-checks every identity
 numerically (high-order finite differences) and exactly (rational
 arithmetic) through scripted verification suites.
 
-Layout (the numeric modules, marked *, need numpy and are loaded on
-first use: importing the package loads only the exact half):
+Layout (importing the package loads none of these modules: each public
+name, and each module but cli, loads on first access; the numeric
+modules, marked *, need numpy):
   partitions  diverse partitions, built by one slot programme
   graphs      loop-free multigraph duals and DOT export
   forms       exact symbolic expansions, moment oracles, cumulants
@@ -23,28 +24,10 @@ first use: importing the package loads only the exact half):
 """
 import importlib
 
-from .errors import DomainError, QuadratureUnderflowError, SizeLimitError, ValidationError
-from .fd import fd_partial, fornberg_weights, stencil_halfwidth
-from .forms import (
-    MomentOracle,
-    SlotBinding,
-    SymbolicExpansion,
-    atoms_moment_oracle,
-    gaussian_moment_oracle,
-    kappa_eval,
-    kappa_recursion_oracle,
-    kappa_symbolic,
-    tau_eval,
-    tau_symbolic,
-    univariate_moment_oracle,
-)
-from .graphs import LabeledMultigraph, export_dot, graph_to_partition, partition_to_graph
-from .partitions import Partition, enumerate_diverse, set_partitions
+__version__ = "0.1.0"
 
-# The names the numeric modules export, by module: each resolves on first
-# access (PEP 562), and the numeric modules themselves do too, as package
-# attributes.
-_NUMERIC = {
+# The public names, by the module that holds them (PEP 562).
+_EXPORTS = {
     "channel": (
         "ChannelSpec",
         "DiscreteJoint",
@@ -55,6 +38,23 @@ _NUMERIC = {
         "mutual_information",
         "mutual_information_many",
     ),
+    "errors": ("DomainError", "QuadratureUnderflowError", "SizeLimitError", "ValidationError"),
+    "fd": ("fd_partial", "fornberg_weights", "stencil_halfwidth"),
+    "forms": (
+        "MomentOracle",
+        "SlotBinding",
+        "SymbolicExpansion",
+        "atoms_moment_oracle",
+        "gaussian_moment_oracle",
+        "kappa_eval",
+        "kappa_recursion_oracle",
+        "kappa_symbolic",
+        "tau_eval",
+        "tau_symbolic",
+        "univariate_moment_oracle",
+    ),
+    "graphs": ("LabeledMultigraph", "export_dot", "graph_to_partition", "partition_to_graph"),
+    "partitions": ("Partition", "enumerate_diverse", "set_partitions"),
     "closedform": (),
     "verify": (
         "CaseRecord",
@@ -71,11 +71,13 @@ _NUMERIC = {
         "verify_snr_combining",
     ),
 }
-_HOME = {name: module for module, names in _NUMERIC.items() for name in names}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):
-    if name in _NUMERIC:
+    if name in _EXPORTS:
         # importing a submodule binds it as a package attribute
         return importlib.import_module(f".{name}", __name__)
     if name not in _HOME:
@@ -86,56 +88,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_NUMERIC, *_HOME})
-
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ChannelSpec",
-    "DiscreteJoint",
-    "QuadratureRule",
-    "expected_conditional_tau",
-    "gauss_hermite",
-    "mmse",
-    "mutual_information",
-    "mutual_information_many",
-    "DomainError",
-    "QuadratureUnderflowError",
-    "SizeLimitError",
-    "ValidationError",
-    "fd_partial",
-    "fornberg_weights",
-    "stencil_halfwidth",
-    "MomentOracle",
-    "SlotBinding",
-    "SymbolicExpansion",
-    "atoms_moment_oracle",
-    "gaussian_moment_oracle",
-    "kappa_eval",
-    "kappa_recursion_oracle",
-    "kappa_symbolic",
-    "tau_eval",
-    "tau_symbolic",
-    "univariate_moment_oracle",
-    "LabeledMultigraph",
-    "export_dot",
-    "graph_to_partition",
-    "partition_to_graph",
-    "Partition",
-    "enumerate_diverse",
-    "set_partitions",
-    "CaseRecord",
-    "DerivativeCase",
-    "DerivativeRequest",
-    "VerificationReport",
-    "adjudicate_first_derivative",
-    "run_suite",
-    "verify_all",
-    "verify_cumulant_routes",
-    "verify_derivatives",
-    "verify_gaussian_chain",
-    "verify_multiquadratic",
-    "verify_snr_combining",
-    "__version__",
-]
+    return sorted({*globals(), *_EXPORTS, *_HOME})

@@ -342,10 +342,18 @@ def _atom_frame(Y: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """(k, k) orthonormal frame for atoms with coordinates Y (A, k).
 
     Gram-Schmidt over the atoms taken farthest first, heavier first
-    among equal distances, and in stored order after that.
+    among equal distances, then by each atom's sorted (distance, mass)
+    pairs to the atoms, so the order reads the law alone.  Atoms that
+    all of these keys tie go in stored order; in the laws tried, a
+    symmetry of the law maps each such atom onto the others.
     """
     dist2 = (Y * Y).sum(axis=1)
-    order = np.lexsort((-probs, -np.round(dist2 / dist2.max(), 10)))
+    pair2 = np.round(((Y[:, None] - Y[None]) ** 2).sum(axis=2) / dist2.max(), 10)
+    # row a: atom a's (distance, mass) pairs to every atom, ascending
+    near = np.lexsort((np.broadcast_to(probs, pair2.shape), pair2), axis=1)
+    pairs = np.stack([np.take_along_axis(pair2, near, 1), probs[near]], axis=2).reshape(len(Y), -1)
+    # lexsort takes its last key first
+    order = np.lexsort((*pairs.T[::-1], -probs, -np.round(dist2 / dist2.max(), 10)))
     frame: list[np.ndarray] = []
     for b in order:
         y = Y[b]
@@ -392,28 +400,31 @@ def _grid_coordinates(v: np.ndarray, probs: np.ndarray) -> list[tuple[np.ndarray
 
     Returns [(rows, Y)], one entry per rank r present in ascending order:
     the indices of the sets of that rank and Y (len(rows), A, max(r, 1)).
-    One SVD gives the rank (at the np.linalg.matrix_rank tolerance), the
-    span of the differences and its principal axes.  Non-finite centred
+    One SVD gives the rank, the span of the differences and its
+    principal axes; a singular value counts if it is above max(A, n) *
+    eps times the larger of the largest one and sqrt(A) * max|v|, the
+    size the rounding of the signals gives it.  Non-finite centred
     signals raise QuadratureUnderflowError, a rank above MAX_TENSOR_DIM
     SizeLimitError.  Rank n keeps the coordinate axes, and rank 0 (one
     atom, or zero snr) gets one null axis, on which every logit is flat.
     Otherwise Y holds the principal coordinates, ties settled by
     _atom_frame and signs by _orientation, turned by _DIAGONALS.  The
-    axes do not depend on the channel order, nor on the atom order
-    unless _atom_frame takes tied atoms that no symmetry of the law
-    relates in stored order: permuting those moves a value within the
-    quadrature error.  A set gets the Y it gets alone.
+    axes do not depend on the channel order, nor on the atom order.  A
+    set gets the Y it gets alone.
     """
     A, n = v.shape[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        c = v - v.mean(axis=1, keepdims=True)
-        # the rounding of the mean, a shift shared by every atom, would add a
-        # singular value of about eps * |mean v| and raise the rank: centre again
-        d = c - c.mean(axis=1, keepdims=True)
-    if not np.isfinite(d).all():
+        # 64, a power of two at least MAX_ATOMS, keeps the sum finite and
+        # the bits of v.mean wherever v / 64 is a normal float
+        c = v - (v / 64).mean(axis=1, keepdims=True) * 64
+    if not np.isfinite(c).all():
         raise QuadratureUnderflowError("centred signals are not finite: the support or snr overflows float64")
-    _, s, vt = np.linalg.svd(d, full_matrices=False)
-    ranks = (s > s[:, :1] * max(A, n) * np.finfo(float).eps).sum(axis=1)
+    _, s, vt = np.linalg.svd(c, full_matrices=False)
+    # the matrix_rank rule, with the rounding of the signals themselves,
+    # about eps * |v| per entry, counted as noise too
+    eps = max(A, n) * np.finfo(float).eps
+    tol = np.maximum(eps * s[:, 0], eps * math.sqrt(A) * np.abs(v).max(axis=(1, 2)))
+    ranks = (s > tol[:, None]).sum(axis=1)
     over = np.flatnonzero(ranks > MAX_TENSOR_DIM)
     if len(over):
         raise SizeLimitError(

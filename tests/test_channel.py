@@ -409,24 +409,60 @@ def test_grid_coordinates_keep_the_distances_between_signals():
                 assert np.array_equal(alone[0], y)
 
 
+def test_rank_counts_the_rounding_of_the_signals():
+    # a law far from 0 rounds its signals by about eps * |v|, which the
+    # rank rule counts as noise: the line (0, 0), (1, 1), (2, 2) keeps one
+    # axis wherever it sits, while a genuine 1e-9 axis of a law at 1000
+    # is kept, and seeded integer-lattice laws shifted by up to 1000 get
+    # their exact rank
+    def columns(support, snr, probs):
+        v = np.asarray(support, dtype=float)[None] * np.sqrt(snr)[None, None, :]
+        ((_, Y),) = _grid_coordinates(v, np.asarray(probs))
+        return Y.shape[2]
+
+    line = np.array([[0, 0], [1, 1], [2, 2]])
+    assert columns(line + [100, 30], (0.5, 1.5), [1 / 3] * 3) == 1
+    assert columns(line + [1000, 300], (0.3, 0.7), [1 / 3] * 3) == 1
+    assert columns([[1000.0, 1000.0], [1001.0, 1001.0], [1000.0, 1000.0 + 1e-9]], (1.0, 1.0), [1 / 3] * 3) == 2
+    rng = np.random.default_rng(3)
+    laws = 0
+    while laws < 300:
+        n, atoms = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        r = int(rng.integers(1, min(n, 3) + 1))
+        support = rng.integers(-3, 4, size=(atoms, r)) @ rng.integers(-3, 4, size=(r, n))
+        if len(set(map(tuple, support))) < atoms:
+            continue  # a law merges equal atoms
+        laws += 1
+        exact = np.linalg.matrix_rank(support[1:] - support[0])
+        probs = rng.uniform(1.0, 3.0, atoms)
+        shifted = support + rng.integers(-1000, 1001, size=n)
+        assert columns(shifted, rng.uniform(0.1, 2.0, n), probs / probs.sum()) == exact
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_centred_signals_that_overflow_raise_before_the_svd():
-    # signals of 1e350 are not finite, and the mean of 1.5e308 and
-    # 1.6e308 overflows although the signals and their difference do not;
-    # either stops the grid before the SVD sees a NaN
+    # signals of 1e350 are not finite, which stops the grid before the
+    # SVD sees a NaN; the mean of 1.5e308 and 1.6e308 is taken on the
+    # signals over 64, so that law's mi is log 2, while its mmse and
+    # conditional tau square a difference of 1e307 and raise in the pass
     huge = DiscreteJoint([[1e200], [-1e200]], [0.5, 0.5])
+    spec = ChannelSpec((1e300,))
+    for call in (
+        lambda: mutual_information(huge, spec),
+        lambda: mutual_information_many(huge, [(1.0,), (1e300,), (1.0,)]),
+        lambda: mmse(huge, spec),
+        lambda: expected_conditional_tau(huge, spec, SlotBinding((1, 1))),
+    ):
+        with pytest.raises(QuadratureUnderflowError, match="^centred signals are not finite: .* overflows float64"):
+            call()
     edge = DiscreteJoint([[1.5e308], [1.6e308]], [0.5, 0.5])
-    for dist, good, bad in ((huge, (1.0,), (1e300,)), (edge, (1e-4,), (1.0,))):
-        spec = ChannelSpec(bad)
-        for call in (
-            lambda: mutual_information(dist, spec),
-            lambda: mutual_information_many(dist, [good, bad, good]),
-            lambda: mmse(dist, spec),
-            lambda: expected_conditional_tau(dist, spec, SlotBinding((1, 1))),
-        ):
-            with pytest.raises(QuadratureUnderflowError, match="^centred signals are not finite: .* overflows float64"):
-                call()
-        assert abs(mutual_information(dist, ChannelSpec(good)) - math.log(2)) < 1e-15
+    spec = ChannelSpec((1.0,))
+    assert abs(mutual_information(edge, spec) - math.log(2)) <= 1e-15
+    assert (np.abs(mutual_information_many(edge, [(1e-4,), (1.0,), (1e-4,)]) - math.log(2)) <= 1e-15).all()
+    for call in (lambda: mmse(edge, spec), lambda: expected_conditional_tau(edge, spec, SlotBinding((1, 1)))):
+        with pytest.raises(QuadratureUnderflowError, match="overflows float64"):
+            call()
 
 
 def _orientation_reference(Y, probs):

@@ -51,6 +51,25 @@ def test_symbolic_commands_load_no_numpy(argv):
     assert fresh(code) == [0, False]
 
 
+def test_importing_the_package_loads_no_submodule():
+    code = "import json, sys\nimport mideriv\nprint(json.dumps([m for m in sys.modules if m.startswith('mideriv.')]))\n"
+    assert fresh(code) == []
+
+
+def test_every_public_name_is_the_object_its_module_holds():
+    # the table states each name once, and __all__ is its names plus __version__
+    assert len(mideriv.__all__) == sum(map(len, mideriv._EXPORTS.values())) + 1
+    star: dict = {}
+    exec("from mideriv import *", star)
+    for name in mideriv.__all__:
+        value = getattr(mideriv, name)
+        assert star[name] is value
+        if name != "__version__":
+            home = sys.modules[value.__module__]
+            assert home.__name__.startswith("mideriv.") and getattr(home, name) is value
+    assert set(mideriv.__all__) <= set(dir(mideriv))
+
+
 def test_numeric_names_resolve_on_first_use():
     code = (
         "import json, sys\n"

@@ -14,6 +14,7 @@ one-row call.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -171,23 +172,24 @@ def test_projected_values_ignore_atom_and_channel_order(support, probs, snr):
             assert abs(value - base) <= 1e-12 * max(1.0, base)
 
 
-def test_tied_atoms_no_symmetry_relates_move_values_within_quadrature_error():
+def test_tied_atoms_take_grid_axes_from_the_law_not_the_atom_order():
     # three triangles on the unit circle, turned by 0, 20 and 50 degrees:
     # the principal axes tie and every atom has the same distance and
-    # mass, so _atom_frame takes the first stored atom, and the grid turns
-    # with the atom order; the values move within the quadrature error
-    # (2.7e-9 in mi at order 16), which is float64 roundoff by order 64
+    # mass, so _atom_frame tells the triangles apart by each atom's
+    # distances to the others; the grid no longer turns with the atom
+    # order, so even at order 16, where a turned grid moves mi by
+    # 2.7e-9, the values agree to a few ulps
     e1, e2 = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0), np.array([0.0, 1.0, 0.0])
     triangles = [(0, 120, 240), (20, 140, 260), (50, 170, 290)]
-    spec, quad = ChannelSpec((1.0, 1.0, 1.0)), gauss_hermite(64)
+    spec, quad = ChannelSpec((1.0, 1.0, 1.0)), gauss_hermite(16)
     values = []
     for first in range(3):
         angles = np.radians([a for t in triangles[first:] + triangles[:first] for a in t])
         dist = DiscreteJoint(np.cos(angles)[:, None] * e1 + np.sin(angles)[:, None] * e2, [1 / 9] * 9)
         values.append((mutual_information(dist, spec, quad), mmse(dist, spec, 1, quad)))
     for mi, mm in values[1:]:
-        assert abs(mi - values[0][0]) <= 1e-12
-        assert abs(mm - values[0][1]) <= 1e-12
+        assert abs(mi - values[0][0]) <= 4 * math.ulp(values[0][0])
+        assert abs(mm - values[0][1]) <= 4 * math.ulp(values[0][1])
 
 
 def _stencil_points(orders, point):

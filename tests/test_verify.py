@@ -294,3 +294,23 @@ def test_run_suite_dispatch_and_bad_name():
     with pytest.raises(ValidationError):
         run_suite("theorem2")
 
+
+def test_all_runs_the_runners_the_module_holds(derivative_run, monkeypatch):
+    # run_suite looks each runner up at call time, so a suite and "all"
+    # call the one patched onto the module (as a traced run wraps them),
+    # and "all" merges the five single-suite reports in suite order
+    theorem1, _ = derivative_run
+    calls = []
+    monkeypatch.setattr(verify, "verify_derivatives", lambda seed: calls.append(seed) or theorem1)
+    assert run_suite("theorem1", seed=0) is theorem1
+    merged = run_suite("all", seed=0)
+    assert calls == [0, 0]
+    parts = [theorem1] + [run_suite(name, seed=0) for name in ("lemma1", "lemma2", "gaussian", "cumulants")]
+    expected = verify.VerificationReport(
+        suite="all",
+        seed=0,
+        config={"suites": {part.suite: part.config for part in parts}},
+        adjudication=theorem1.adjudication,
+        cases=[case for part in parts for case in part.cases],
+    )
+    assert merged.to_json() == expected.to_json()
