@@ -493,6 +493,14 @@ OUTPUT_DIGESTS = {
         "332e220f44af40b5eba5c2939c846010d64d21da04b524183d805364b5a10163",
     ("tau", "--multiplicities", "1,1,1,1,1", "--symbolic"):
         "32b584406dc77487b318109e34a7a407ce399e0456f8817bf3486ad79009415a",
+    # the largest payloads: 29,388 partitions with their graphs, and the
+    # order-6 expansions of distinct slots
+    ("partitions", "--n", "6", "--graphs", "--format", "json"):
+        "bc941cfa74979de4f47b03f01cc555c0486baad4c234d948558ed2942ac772d7",
+    ("tau", "--multiplicities", "1,1,1,1,1,1", "--symbolic", "--format", "json"):
+        "ea442ba38c5315cf6aeb89a71afacb5116ae4e1e4ed66baaa0049e4614c33497",
+    ("tau", "--multiplicities", "1,1,1,1,1,1", "--symbolic", "--format", "json", "--bar"):
+        "1d5b208b283e74c852d2c71f2dbe1c4a748cf1c8eb2c6d0cc06d153fd44d11da",
 }
 
 
