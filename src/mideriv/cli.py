@@ -18,13 +18,13 @@ import gc
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .constants import DEFAULT_QUAD_ORDER, SCHEMA_VERSION, SUITE_NAMES
 from .errors import DomainError, QuadratureUnderflowError, SizeLimitError, ValidationError
-from .forms import SlotBinding, tau_symbolic
+from .forms import SlotBinding, SymbolicExpansion, tau_symbolic
 from .graphs import export_dot, partition_to_graph
-from .partitions import enumerate_diverse
+from .partitions import Partition, enumerate_diverse
 
 if TYPE_CHECKING:
     from .channel import DiscreteJoint
@@ -48,10 +48,64 @@ def _header(command: str) -> dict:
 
 
 def _print_json(payload: dict) -> None:
-    # No indent: with one, the json module leaves its C encoder for the
-    # pure-Python one, several times slower on large expansions.  Objects
-    # (partitions, an expansion) become dicts only as the encoder writes them.
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":"), default=lambda obj: obj.to_dict()))
+    """Write the payload as one compact line with sorted keys, value by value.
+
+    Partitions and an expansion are written from their canonical tuples,
+    each distinct block's text and each coefficient's text formed once;
+    an iterator (the graphs) is written as an array of its strings as it
+    yields them.  Every other value goes through json.dumps.  Nothing
+    holds the whole payload, so a command does all that can fail first.
+    """
+    write = sys.stdout.write
+    blocks = _BlockTexts()
+    sep = "{"
+    for key in sorted(payload):
+        write(f"{sep}{json.dumps(key)}:")
+        sep = ","
+        value = payload[key]
+        if isinstance(value, SymbolicExpansion):
+            write('{"terms":')
+            _write_array(write, _term_texts(value, blocks))
+            write("}")
+        elif isinstance(value, Iterator):
+            _write_array(write, map(json.dumps, value))
+        elif type(value) is list and value and isinstance(value[0], Partition):
+            _write_array(write, _partition_texts(value, blocks))
+        else:
+            write(json.dumps(value, sort_keys=True, separators=(",", ":")))
+    write("}\n")
+
+
+class _BlockTexts(dict):
+    """A block's JSON text, e.g. [1,2], formed on first use."""
+
+    def __missing__(self, block: tuple[int, ...]) -> str:
+        text = self[block] = f"[{','.join(map(str, block))}]"
+        return text
+
+
+def _partition_texts(parts: list[Partition], blocks: _BlockTexts) -> Iterator[str]:
+    for p in parts:
+        yield f'{{"blocks":[{",".join(map(blocks.__getitem__, p.blocks))}],"s":{p.s}}}'
+
+
+def _term_texts(expansion: SymbolicExpansion, blocks: _BlockTexts) -> Iterator[str]:
+    # keyed by the integer pair: hashing a Fraction costs more than str
+    tails: dict[tuple[int, int], str] = {}
+    for mono, coeff in expansion.terms:
+        key = (coeff.numerator, coeff.denominator)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = f'],"coeff":"{coeff}"}}'
+        yield f'{{"blocks":[{",".join(map(blocks.__getitem__, mono))}{tail}'
+
+
+def _write_array(write, items: Iterable[str]) -> None:
+    sep = "["
+    for item in items:
+        write(sep + item)
+        sep = ","
+    write("[]" if sep == "[" else "]")
 
 
 def _parse_list(text: str, name: str, kind: type) -> tuple:
@@ -79,9 +133,8 @@ def _load_dist(path: str) -> DiscreteJoint:
 def cmd_partitions(args: argparse.Namespace) -> int:
     parts = enumerate_diverse(args.n, args.min_block_size)
     want_graphs = args.graphs or args.format == "dot"
-    dots = None
-    if want_graphs:
-        dots = [export_dot(partition_to_graph(p), name=f"p{i}") for i, p in enumerate(parts)]
+    # each graph's text is formed as it is written
+    dots = (export_dot(partition_to_graph(p), name=f"p{i}") for i, p in enumerate(parts)) if want_graphs else None
     if args.format == "json":
         payload = {
             **_header("partitions"),
@@ -101,7 +154,7 @@ def cmd_partitions(args: argparse.Namespace) -> int:
         for i, p in enumerate(parts):
             print(f"{i}: {p}")
             if dots is not None:
-                print(dots[i])
+                print(next(dots))
         print(f"count: {len(parts)}")
     return 0
 
@@ -251,7 +304,7 @@ _PARSER: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
-    # The payloads a command builds (partitions, graphs, expansion terms)
+    # The objects a command builds (partitions, expansion terms, texts)
     # hold no reference cycles, so the cycle collector would only walk
     # them, again and again as they grow.  Pause it for this one command
     # and give the caller its own setting back; the few cycles a command

@@ -264,8 +264,9 @@ class SymbolicExpansion:
         terms = self.terms
         if not terms:
             return "0"
-        used = {v for mono, _ in terms for b in mono for v in b}
-        single = len(used) == 1 and all(len(set(b)) == 1 for mono, _ in terms for b in mono)
+        # canonical blocks are never empty, so one variable in all of
+        # them makes every block a power of it
+        single = len({v for mono, _ in terms for b in mono for v in b}) == 1
         # factors and coefficients repeat across terms: name each once
         factors = _Factors(single)
         factor = factors.__getitem__
@@ -288,18 +289,6 @@ class SymbolicExpansion:
         first = out[0]
         out[0] = first[3:] if first[1] == "+" else "-" + first[3:]
         return "".join(out)
-
-    def to_dict(self) -> dict:
-        # keyed by the integer pair: hashing a Fraction costs more than str
-        texts: dict[tuple[int, int], str] = {}
-        terms = []
-        for mono, coeff in self.terms:
-            key = (coeff.numerator, coeff.denominator)
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = str(coeff)
-            terms.append({"blocks": list(map(list, mono)), "coeff": text})
-        return {"terms": terms}
 
 
 @lru_cache(maxsize=None)

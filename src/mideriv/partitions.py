@@ -28,10 +28,11 @@ from .errors import SizeLimitError, ValidationError, integer
 
 # Enumeration guard.  The count grows fast (1, 3, 16, 139, 1750, 29388,
 # 624889) and every result is held in memory: on a 2-CPU machine under
-# CPython 3.11, enumerate_diverse(7) takes about 6 s and 205 MB, and
-# `mideriv partitions --n 7 --format json` about 11 s and 840 MB for its
-# 38 MB of output; n = 8 does not finish.  forms.tau_symbolic keeps the
-# same slot limit.
+# CPython 3.11, enumerate_diverse(7) takes about 5.5 s and 190 MB, and
+# `mideriv partitions --n 7 --format json` about 6.5 s and 195 MB for its
+# 38 MB of output, which is written value by value, so the enumeration
+# is its peak; n = 8 does not finish.  forms.tau_symbolic keeps the same
+# slot limit.
 ENUMERATION_LIMIT = 7
 
 Block = tuple[int, ...]
@@ -105,9 +106,6 @@ class Partition:
         """Number of block values occurring exactly twice."""
         # coverage lets a block value occur at most twice
         return len(self.blocks) - len(set(self.blocks))
-
-    def to_dict(self) -> dict:
-        return {"blocks": list(map(list, self.blocks)), "s": self.s}
 
     def __str__(self) -> str:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)

@@ -126,6 +126,8 @@ def test_json_payloads_are_one_compact_line_with_sorted_keys(capsys, dist_file):
         ("partitions", "--n", "3", "--graphs"),
         ("tau", "--multiplicities", "2,1", "--symbolic"),
         ("tau", "--multiplicities", "3", "--bar", "--symbolic"),
+        ("tau", "--multiplicities", "1", "--bar", "--symbolic"),
+        ("partitions", "--n", "1", "--min-block-size", "2", "--graphs"),
         ("tau", "--multiplicities", "1", "--dist", dist_file, "--snr", "0.8", "--quad-order", "32"),
         ("mi", "--dist", dist_file, "--snr", "1.0", "--quad-order", "32"),
     ]
@@ -136,9 +138,14 @@ def test_json_payloads_are_one_compact_line_with_sorted_keys(capsys, dist_file):
         assert out.endswith("\n") and out.count("\n") == 1, argv
         payload = json.loads(out, object_pairs_hook=sorted_pairs)
         assert json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n" == out, argv
-        payloads[argv[:3]] = payload
-    assert payloads["tau", "--multiplicities", "3"]["pretty"] == "M2^3 - 1/2*M3^2"
-    assert payloads["partitions", "--n", "3"]["count"] == 16
+        payloads[argv] = payload
+    assert payloads["tau", "--multiplicities", "3", "--bar", "--symbolic"]["pretty"] == "M2^3 - 1/2*M3^2"
+    assert payloads["partitions", "--n", "3", "--graphs"]["count"] == 16
+    # the empty payloads: no terms, no partitions, no graphs
+    empty_tau = payloads["tau", "--multiplicities", "1", "--bar", "--symbolic"]
+    assert (empty_tau["expansion"], empty_tau["pretty"]) == ({"terms": []}, "0")
+    empty_parts = payloads["partitions", "--n", "1", "--min-block-size", "2", "--graphs"]
+    assert (empty_parts["count"], empty_parts["partitions"], empty_parts["graphs"]) == (0, [], [])
 
 
 def test_tau_numeric_prints_fd_gap(capsys, dist_file):

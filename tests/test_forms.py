@@ -1,6 +1,7 @@
 """Exact symbolic expansions, moment oracles, and cumulant routes."""
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mideriv.cli import main
 from mideriv.closedform import random_rational_joint, random_rational_moments
 from mideriv.errors import DomainError, SizeLimitError, ValidationError
 from mideriv.forms import (
@@ -261,10 +263,20 @@ def test_expansion_merges_and_drops_zero_terms():
     assert SymbolicExpansion(((((),), 1), ((), 2))).pretty() == "3"
 
 
-def test_expansion_json_round_trip():
-    ex = tau_symbolic(SlotBinding((1, 1, 1)), min_block_size=2)
-    data = ex.to_dict()
-    assert data == {
+def test_cli_expansion_payload_lists_the_terms(capsys):
+    # the tau --symbolic payload is written from the canonical terms
+    for n in range(1, 5):
+        for pattern in multiplicity_patterns(n):
+            for bar in (False, True):
+                argv = ["tau", "--multiplicities", ",".join(map(str, pattern)), "--symbolic", "--format", "json"]
+                assert main(argv + ["--bar"] * bar) == 0
+                payload = json.loads(capsys.readouterr().out)
+                ex = tau_symbolic(SlotBinding.from_multiplicities(pattern), min_block_size=2 if bar else 1)
+                terms = [{"blocks": [list(b) for b in mono], "coeff": str(c)} for mono, c in ex.terms]
+                assert payload["expansion"] == {"terms": terms}, (pattern, bar)
+                assert payload["pretty"] == ex.pretty()
+    assert main(["tau", "--multiplicities", "3", "--bar", "--symbolic", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["expansion"] == {
         "terms": [
             {"blocks": [[1, 1], [1, 1], [1, 1]], "coeff": "1"},
             {"blocks": [[1, 1, 1], [1, 1, 1]], "coeff": "-1/2"},

@@ -1,6 +1,7 @@
 """Enumeration of diverse partitions of doubled multisets."""
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mideriv.cli import main
 from mideriv.errors import SizeLimitError, ValidationError
 from mideriv.partitions import Partition, enumerate_diverse, set_partitions, slot_states
 
@@ -26,12 +28,11 @@ def test_counts_match_known_sequence():
 def test_distinct_binding_states_are_the_partitions(n):
     # enumerate_diverse reads the programme at the distinct binding: there
     # every state stands for one raw partition, and the sorted states are
-    # the recursive oracle's list, order and s included
+    # the recursive oracle's list, in its order
     for mbs in (1, 2):
         states = slot_states(range(1, n + 1), mbs)
         assert all(mult == 1 for mult in states.values()), (n, mbs)
-        got = [p.to_dict() for p in enumerate_diverse(n, mbs)]
-        assert got == [p.to_dict() for p in recursive_diverse(n, mbs)], (n, mbs)
+        assert enumerate_diverse(n, mbs) == recursive_diverse(n, mbs), (n, mbs)
 
 
 def test_set_equality_with_brute_force_oracle():
@@ -136,10 +137,19 @@ def test_partition_rejects_non_integer_indices():
     assert Partition([[np.int64(1), 2], [1, 2]]).blocks == ((1, 2), (1, 2))
 
 
-def test_partition_json_round_trip():
-    p = Partition(((1, 2, 3), (1, 2, 3)))
-    data = p.to_dict()
-    assert data == {"blocks": [[1, 2, 3], [1, 2, 3]], "s": 1}
+def test_cli_partitions_payload_lists_the_partitions(capsys):
+    # the partitions payload is written from the canonical blocks
+    listed = {}
+    for n in range(1, 5):
+        for mbs in (1, 2):
+            assert main(["partitions", "--n", str(n), "--min-block-size", str(mbs), "--format", "json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            parts = enumerate_diverse(n, mbs)
+            assert payload["count"] == len(parts), (n, mbs)
+            assert payload["partitions"] == [{"blocks": [list(b) for b in p.blocks], "s": p.s} for p in parts], (n, mbs)
+            listed[n, mbs] = payload["partitions"]
+    # {1,2,3}{1,2,3} repeats its one block
+    assert {"blocks": [[1, 2, 3], [1, 2, 3]], "s": 1} in listed[3, 2]
 
 
 def test_enumeration_size_guards():
