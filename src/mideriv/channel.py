@@ -110,14 +110,12 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes and weights integrating against the standard normal.
-
-    Construct through :func:`gauss_hermite`; the initializer checks that
-    the rule actually integrates like a standard normal (weights sum to
-    1, odd moments vanish, unit second moment).
+    """A rule is its nodes and weights, integrating against the standard normal;
+    its order is the node count.  Construct through :func:`gauss_hermite`; the
+    initializer checks one weight per node and that the rule integrates like a
+    standard normal (weights sum to 1, odd moments vanish, unit second moment).
     """
 
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
     _grids: dict = field(default_factory=dict, init=False, repr=False)
@@ -125,10 +123,9 @@ class QuadratureRule:
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape != (self.order,) or weights.shape != (self.order,):
+        if nodes.ndim != 1 or weights.shape != nodes.shape:
             raise ValidationError(
-                f"nodes: expected {self.order} nodes and weights, "
-                f"got {nodes.shape} and {weights.shape}"
+                f"nodes: expected one weight per node, got {nodes.shape} and {weights.shape}"
             )
         if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
             raise ValidationError("weights: non-finite entries")
@@ -145,6 +142,10 @@ class QuadratureRule:
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+
+    @property
+    def order(self) -> int:
+        return len(self.nodes)
 
     def tensor(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
         """Pruned tensor grid: (P, dim) points and product weights.
@@ -190,7 +191,7 @@ def gauss_hermite(order: int) -> QuadratureRule:
         )
     if order not in _RULES:
         nodes, weights = hermegauss(order)
-        _RULES[order] = QuadratureRule(order, nodes, weights / _SQRT_2PI)
+        _RULES[order] = QuadratureRule(nodes, weights / _SQRT_2PI)
     return _RULES[order]
 
 

@@ -44,14 +44,18 @@ def _sech2(t: np.ndarray) -> np.ndarray:
     return 4.0 * e / (1.0 + e) ** 2
 
 
+def _check_snr(snr: float) -> None:
+    if not (snr >= 0 and math.isfinite(snr)):
+        raise DomainError(f"snr={snr}: must be >= 0 and finite")
+
+
 def two_point_mi(snr: float) -> float:
     """Mutual information of the equiprobable two-point input {-1, +1}.
 
     I(l) = l - E[log cosh(l + sqrt(l) Z)] with Z standard normal,
     derived from the two-atom posterior; increases to log 2.
     """
-    if snr < 0:
-        raise DomainError(f"snr={snr}: must be >= 0")
+    _check_snr(snr)
     return float(snr - _W @ _log_cosh(snr + math.sqrt(snr) * _Z))
 
 
@@ -62,13 +66,13 @@ def two_point_mmse(snr: float) -> float:
     taken in the first form to avoid the cancellation; decreases from 1
     toward 0.
     """
-    if snr < 0:
-        raise DomainError(f"snr={snr}: must be >= 0")
+    _check_snr(snr)
     return float(_W @ _sech2(snr + math.sqrt(snr) * _Z))
 
 
 def two_point_posterior_mean(snr: float, y: float) -> float:
     """E[X | Y=y] = tanh(sqrt(l) y) for the equiprobable two-point input."""
+    _check_snr(snr)
     return math.tanh(math.sqrt(snr) * y)
 
 

@@ -1,10 +1,13 @@
 """High-order central finite differences with Richardson extrapolation.
 
-Stencil weights are computed exactly (Fractions) by the classic Fornberg
-recurrence; mixed partials tensor the per-axis stencils.  The base stencils are
-order-8 accurate per axis, and Richardson extrapolation across step halvings
-removes the leading error terms, so the error estimate (the magnitude of the
-last tableau correction) is usually conservative for analytic integrands.
+Stencil weights are exact Fractions read off the Lagrange basis: weight j
+is d! times the x**d coefficient of offset j's basis polynomial, which
+Fornberg's recurrence (Math. Comp. 51, 1988) builds up step by step.
+Mixed partials tensor the per-axis stencils.  The base stencils are
+order-8 accurate per axis, and Richardson extrapolation across step
+halvings removes the leading error terms, so the error estimate (the
+magnitude of the last tableau correction) is usually conservative for
+analytic integrands.
 check_partial states what a partial is, for fd_partial and DerivativeRequest.
 
 The step is worked out from the point, min(BASE_STEP, STEP_FRACTION *
@@ -23,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 from .errors import DomainError, integer, real
@@ -53,43 +56,32 @@ def fornberg_weights(d: int, offsets: Sequence) -> list[Fraction]:
         raise DomainError("offsets: repeated abscissa")
     if len(offs) < d + 1:
         raise DomainError(f"offsets: need at least {d + 1} points for derivative order {d}")
-    n = len(offs)
-    c = [[Fraction(0)] * (d + 1) for _ in range(n)]
-    c1 = Fraction(1)
-    c4 = offs[0]
-    c[0][0] = Fraction(1)
-    for i in range(1, n):
-        mn = min(i, d)
-        c2 = Fraction(1)
-        c5 = c4
-        c4 = offs[i]
-        for j in range(i):
-            c3 = offs[i] - offs[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2
-                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
-            for k in range(mn, 0, -1):
-                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
-            c[j][0] = c4 * c[j][0] / c3
-        c1 = c2
-    return [c[i][d] for i in range(n)]
+    # basis polynomial j is prod_{k != j} (x - x_k) / (x_j - x_k): form
+    # prod_k (x - x_k) once, lowest degree first, and divide out (x - x_j)
+    # synthetically, from the top down to the x**d coefficient
+    poly = [Fraction(1)]
+    for xk in offs:
+        poly = [a - xk * b for a, b in zip([0, *poly], [*poly, 0])]
+    weights = []
+    for xj in offs:
+        coeff = reduce(lambda q, c: c + xj * q, reversed(poly[d + 1:]), 0)
+        weights.append(math.factorial(d) * coeff / math.prod(xj - xk for xk in offs if xk != xj))
+    return weights
 
 
 def stencil_halfwidth(d: int) -> int:
-    """How far (in steps) the order-d stencil reaches from its center."""
-    return (d + 1) // 2 + 3
+    """How far (in steps) the order-d stencil reaches: the least half-width ACCURACY_ORDER accurate."""
+    return (ACCURACY_ORDER + d - 1) // 2
 
 
 # typed: 2.0 and True must miss the entry of 2 and reach the check
 @lru_cache(maxsize=None, typed=True)
 def central_stencil(d: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    """Symmetric stencil for the d-th derivative, truncation order >= 8.
+    """Symmetric stencil for the d-th derivative, truncation order >= ACCURACY_ORDER.
 
     Half-width m = stencil_halfwidth(d) gives 2m+1 points; parity makes
-    central stencils gain one extra order, so accuracy is 2m+1-d or
-    better, which is >= 8 for every d >= 1.  d is read by errors.integer.
+    central stencils gain one extra order, so accuracy is 2m+1-d or better,
+    which is >= ACCURACY_ORDER for every d >= 1.  d is read by errors.integer.
     """
     d = integer(d, DomainError, "d")
     if d < 1:

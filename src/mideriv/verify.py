@@ -557,17 +557,13 @@ def verify_cumulant_routes(seed: int = 0) -> VerificationReport:
 
 
 def verify_all(seed: int = 0) -> VerificationReport:
-    """Every suite in SUITE_NAMES order, merged into one report."""
-    subreports = [run_suite(name, seed) for name in SUITE_NAMES if name != "all"]
-    cases = [case for report in subreports for case in report.cases]
-    config = {"suites": {report.suite: report.config for report in subreports}}
-    return VerificationReport(
-        suite="all",
-        seed=seed,
-        config=config,
-        adjudication=subreports[0].adjudication,
-        cases=cases,
-    )
+    """Every suite in SUITE_NAMES order, merged into one report; its adjudication is theorem1's."""
+    runs = (run_suite(name, seed) for name in SUITE_NAMES if name != "all")
+    subreports = {report.suite: report for report in runs}
+    cases = [case for report in subreports.values() for case in report.cases]
+    config = {"suites": {suite: report.config for suite, report in subreports.items()}}
+    adjudication = subreports["theorem1"].adjudication
+    return VerificationReport(suite="all", seed=seed, config=config, adjudication=adjudication, cases=cases)
 
 
 # The runner of each suite token, by name: run_suite looks it up in this

@@ -73,19 +73,21 @@ def _rule_parts(order=16):
 @pytest.mark.parametrize(
     "change, message",
     [
-        (lambda x, w: (x[:-1], w[:-1]), "^nodes: expected 16 nodes and weights"),
+        (lambda x, w: (x[:-1], w), "^nodes: expected one weight per node"),
+        (lambda x, w: (x[:, None], w[:, None]), "^nodes: expected one weight per node"),
         (lambda x, w: (x, np.where(np.arange(16) == 3, np.nan, w)), "^weights: non-finite entries"),
         (lambda x, w: (x, 2.0 * w), "^weights: sum"),
         (lambda x, w: (x + 0.1, w), "^nodes: odd moment of order 1"),
         (lambda x, w: (1.1 * x, w), "^nodes: second moment"),
     ],
-    ids=["shape", "non-finite", "weight-sum", "odd-moment", "second-moment"],
+    ids=["shape", "two-axis", "non-finite", "weight-sum", "odd-moment", "second-moment"],
 )
 def test_rule_refuses_what_does_not_integrate_like_a_standard_normal(change, message):
     nodes, weights = _rule_parts()
-    QuadratureRule(16, nodes, weights)
+    # a rule is its nodes and weights; its order is the node count
+    assert QuadratureRule(nodes, weights).order == 16
     with pytest.raises(ValidationError, match=message):
-        QuadratureRule(16, *change(nodes, weights))
+        QuadratureRule(*change(nodes, weights))
 
 
 def test_rules_and_grids_are_cached():
@@ -586,7 +588,7 @@ def test_batch_raises_what_its_one_point_call_raises():
     # the batch raises the same error, and the size limits fire before
     # any grid or stack is built
     nodes, weights = hermegauss(MAX_QUAD_ORDER)
-    fresh = QuadratureRule(MAX_QUAD_ORDER, nodes, weights / math.sqrt(2.0 * math.pi))
+    fresh = QuadratureRule(nodes, weights / math.sqrt(2.0 * math.pi))
     levels = np.array([-1.5, -0.5, 0.5, 1.5])
     cube = DiscreteJoint(np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1).T, [1 / 64] * 64)
     rank4 = DiscreteJoint(np.vstack([np.zeros(4), np.eye(4)]), [0.2] * 5)
@@ -630,7 +632,7 @@ def test_mmse_matches_closed_form_and_decreases():
 def test_posterior_pass_checks_its_inputs_once():
     # 8 nodes integrate like a standard normal, but sit below the minimum
     nodes, weights = hermegauss(8)
-    coarse = QuadratureRule(8, nodes, weights / math.sqrt(2.0 * math.pi))
+    coarse = QuadratureRule(nodes, weights / math.sqrt(2.0 * math.pi))
     calls = [
         lambda spec, quad: mutual_information(PAIR, spec, quad),
         lambda spec, quad: mmse(PAIR, spec, channel=2, quad=quad),

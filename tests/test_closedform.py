@@ -47,6 +47,19 @@ def test_two_point_posterior_mean_is_tanh():
     assert closedform.two_point_posterior_mean(0.49, 2.0) == math.tanh(0.7 * 2.0)
 
 
+@pytest.mark.parametrize("snr", [-1.0, math.nan, math.inf, -math.inf])
+def test_two_point_oracles_refuse_what_channel_spec_refuses(snr):
+    # NaN slips past a bare snr < 0 check and comes back as a NaN value;
+    # a negative snr would reach math.sqrt in the posterior mean
+    for call in (
+        lambda: closedform.two_point_mi(snr),
+        lambda: closedform.two_point_mmse(snr),
+        lambda: closedform.two_point_posterior_mean(snr, 0.5),
+    ):
+        with pytest.raises(DomainError, match=rf"^snr={snr}: must be >= 0 and finite$"):
+            call()
+
+
 def test_mi_mmse_consistency_via_quadrature_free_derivative():
     # centered difference of the closed-form mi against mmse/2
     lam, h = 0.8, 1e-4

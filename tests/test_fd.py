@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mideriv import gauss_hermite, verify
 from mideriv.errors import DomainError
@@ -37,6 +39,20 @@ def test_weights_reproduce_polynomial_derivatives_exactly():
             expected = Fraction(math.factorial(p), math.factorial(p - d)) if p >= d else 0
             # derivative of x^p at 0 is p!/(p-d)! * 0^(p-d): zero unless p == d
             assert acc == (math.factorial(d) if p == d else 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(-20, 20, max_denominator=12), min_size=1, max_size=9, unique=True))
+def test_weights_are_the_unique_exact_ones_on_any_rational_offsets(offsets):
+    # n weights taking each monomial x**p, p < n, to its d-th derivative
+    # at 0 (d! when p == d, else 0) are unique: this pins the weights on
+    # arbitrary grids, whatever way they are computed
+    n = len(offsets)
+    for d in range(n):
+        weights = fornberg_weights(d, offsets)
+        assert all(type(w) is Fraction for w in weights)
+        for p in range(n):
+            assert sum(w * o**p for w, o in zip(weights, offsets)) == (math.factorial(d) if p == d else 0)
 
 
 def test_central_stencil_halfwidth_rule():

@@ -314,3 +314,15 @@ def test_all_runs_the_runners_the_module_holds(derivative_run, monkeypatch):
         cases=[case for part in parts for case in part.cases],
     )
     assert merged.to_json() == expected.to_json()
+
+
+def test_all_takes_the_adjudication_of_theorem1_in_any_suite_order(derivative_run, monkeypatch):
+    # with theorem1 run last, the merged report still carries its
+    # measured adjudication, not the unmeasured note of the first suite
+    theorem1, _ = derivative_run
+    monkeypatch.setattr(verify, "verify_derivatives", lambda seed: theorem1)
+    monkeypatch.setattr(verify, "SUITE_NAMES", ("lemma1", "lemma2", "gaussian", "cumulants", "theorem1", "all"))
+    merged = run_suite("all", seed=0)
+    assert merged.adjudication == theorem1.adjudication
+    assert merged.adjudication["measured"] is True
+    assert list(merged.config["suites"]) == ["lemma1", "lemma2", "gaussian", "cumulants", "theorem1"]
