@@ -110,9 +110,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """A rule is its nodes and weights, integrating against the standard normal;
-    its order is the node count.  Construct through :func:`gauss_hermite`; the
-    initializer checks one weight per node and that the rule integrates like a
+    """A rule is its nodes and weights, each read by errors.real, integrating
+    against the standard normal; its order is the node count, at least
+    MIN_QUAD_ORDER.  Construct through :func:`gauss_hermite`; the initializer
+    checks these, one weight per node, and that the rule integrates like a
     standard normal (weights sum to 1, odd moments vanish, unit second moment).
     """
 
@@ -121,14 +122,12 @@ class QuadratureRule:
     _grids: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = _real_array(self.nodes, "nodes")
+        weights = _real_array(self.weights, "weights")
         if nodes.ndim != 1 or weights.shape != nodes.shape:
-            raise ValidationError(
-                f"nodes: expected one weight per node, got {nodes.shape} and {weights.shape}"
-            )
-        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
-            raise ValidationError("weights: non-finite entries")
+            raise ValidationError(f"nodes: expected one weight per node, got {nodes.shape} and {weights.shape}")
+        if len(nodes) < MIN_QUAD_ORDER:
+            raise ValidationError(f"nodes: {len(nodes)} nodes are below the minimum {MIN_QUAD_ORDER}")
         if abs(weights.sum() - 1.0) > 1e-13:
             raise ValidationError(f"weights: sum {weights.sum()!r} is not 1 within 1e-13")
         for k in (1, 3, 5):
@@ -220,8 +219,8 @@ class DiscreteJoint:
 
     Zero-probability atoms are dropped and duplicate support points are
     merged (masses summed) at construction; probabilities must be
-    nonnegative and sum to 1 within 1e-12.  Every entry must be a real
-    number (errors.real): strings and booleans are refused, not parsed.
+    nonnegative and sum to 1 within 1e-12.  Every entry is read by
+    errors.real: strings, booleans, NaN and infinities are refused, not parsed.
     """
 
     support: np.ndarray
@@ -239,10 +238,6 @@ class DiscreteJoint:
                 f"probs: length {probs.shape if probs.ndim != 1 else probs.shape[0]} "
                 f"does not match {support.shape[0]} support points"
             )
-        if not np.isfinite(support).all():
-            raise ValidationError("support: non-finite entries")
-        if not np.isfinite(probs).all():
-            raise ValidationError("probs: non-finite entries")
         if (probs < 0).any():
             bad = int(np.argmin(probs))
             raise ValidationError(f"probs: negative mass {probs[bad]!r} at index {bad}")
@@ -297,7 +292,7 @@ class DiscreteJoint:
 @dataclass(frozen=True)
 class ChannelSpec:
     """Per-channel signal-to-noise ratios: at least one, each a finite
-    real number >= 0 (errors.real: strings and booleans are refused)."""
+    real number (errors.real) >= 0."""
 
     snr: tuple[float, ...]
 
@@ -309,8 +304,8 @@ class ChannelSpec:
         if not snr:
             raise ValidationError("snr: needs at least one channel")
         for i, lam in enumerate(snr):
-            if not math.isfinite(lam) or lam < 0:
-                raise ValidationError(f"snr: entry {i} is {lam!r}, expected a finite value >= 0")
+            if lam < 0:
+                raise ValidationError(f"snr: entry {i} is {lam!r}, expected a value >= 0")
         object.__setattr__(self, "snr", snr)
 
     @property
@@ -459,10 +454,10 @@ def _grid_coordinates(v: np.ndarray, probs: np.ndarray) -> list[tuple[np.ndarray
 def _grid_parts(dist: DiscreteJoint, snrs, quad: QuadratureRule | None):
     """Stacks of _posterior_pass arguments: (rows, logp, D, G, W) each.
 
-    The one input check of the posterior pass: every snr row must have
-    one entry per coordinate of dist, and quad None means
-    gauss_hermite(DEFAULT_QUAD_ORDER); a rule below MIN_QUAD_ORDER, or a
-    mismatch, raises DomainError before anything is built.
+    The one input check of the posterior pass, of what needs the law: every
+    snr row must have one entry per coordinate of dist, else DomainError
+    before anything is built; each entry is a finite real already
+    (errors.real), and quad None means gauss_hermite(DEFAULT_QUAD_ORDER).
 
     With v = sqrt(l) * x, D[a, b] = |v_a - v_b|**2 / 2 and (v_b - v_a) . z
     are all the component of atom a needs.  The part of z off the span of
@@ -480,13 +475,9 @@ def _grid_parts(dist: DiscreteJoint, snrs, quad: QuadratureRule | None):
     """
     for snr in snrs:
         if len(snr) != dist.n:
-            raise DomainError(
-                f"snr has {len(snr)} channels but the distribution has {dist.n} coordinates"
-            )
+            raise DomainError(f"snr has {len(snr)} channels but the distribution has {dist.n} coordinates")
     if quad is None:
         quad = gauss_hermite(DEFAULT_QUAD_ORDER)
-    elif quad.order < MIN_QUAD_ORDER:
-        raise DomainError(f"quadrature order {quad.order} is below the minimum {MIN_QUAD_ORDER}")
     A, n = dist.support.shape
     v = dist.support * np.sqrt(np.array(snrs, dtype=float).reshape(-1, n))[:, None, :]
     groups = _grid_coordinates(v, dist.probs)

@@ -228,11 +228,10 @@ def cmd_mi(args: argparse.Namespace) -> int:
     from .channel import ChannelSpec, gauss_hermite, mutual_information
 
     dist = _load_dist(args.dist)
-    snr = _parse_list(args.snr, "snr", float)
-    spec = ChannelSpec(snr)
+    spec = ChannelSpec(_parse_list(args.snr, "snr", float))
     value = mutual_information(dist, spec, gauss_hermite(args.quad_order))
     if args.format == "json":
-        _print_json({**_header("mi"), "snr": list(snr), "quad_order": args.quad_order, "value": value})
+        _print_json({**_header("mi"), "snr": list(spec.snr), "quad_order": args.quad_order, "value": value})
     else:
         print(f"mutual information: {value!r} nats")
     return 0

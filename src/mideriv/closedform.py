@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, integer
+from .errors import DomainError, integer, real
 from .forms import MomentOracle
 
 # One fixed trapezoidal rule for E[f(Z)], Z standard normal: step 1/32 on
@@ -44,9 +44,11 @@ def _sech2(t: np.ndarray) -> np.ndarray:
     return 4.0 * e / (1.0 + e) ** 2
 
 
-def _check_snr(snr: float) -> None:
-    if not (snr >= 0 and math.isfinite(snr)):
-        raise DomainError(f"snr={snr}: must be >= 0 and finite")
+def _check_snr(snr) -> float:
+    snr = real(snr, DomainError, "snr")
+    if snr < 0:
+        raise DomainError(f"snr={snr}: must be >= 0")
+    return snr
 
 
 def two_point_mi(snr: float) -> float:
@@ -55,7 +57,7 @@ def two_point_mi(snr: float) -> float:
     I(l) = l - E[log cosh(l + sqrt(l) Z)] with Z standard normal,
     derived from the two-atom posterior; increases to log 2.
     """
-    _check_snr(snr)
+    snr = _check_snr(snr)
     return float(snr - _W @ _log_cosh(snr + math.sqrt(snr) * _Z))
 
 
@@ -66,13 +68,13 @@ def two_point_mmse(snr: float) -> float:
     taken in the first form to avoid the cancellation; decreases from 1
     toward 0.
     """
-    _check_snr(snr)
+    snr = _check_snr(snr)
     return float(_W @ _sech2(snr + math.sqrt(snr) * _Z))
 
 
 def two_point_posterior_mean(snr: float, y: float) -> float:
     """E[X | Y=y] = tanh(sqrt(l) y) for the equiprobable two-point input."""
-    _check_snr(snr)
+    snr = _check_snr(snr)
     return math.tanh(math.sqrt(snr) * y)
 
 

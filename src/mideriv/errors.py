@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the number checks they share."""
+"""Exception types shared across the package, and its two number rules: integer, and real (finite)."""
 import numbers
 import operator
+import sys
 
 
 class SizeLimitError(ValueError):
@@ -42,11 +43,14 @@ def integer(value, error: type[ValueError], field: str) -> int:
 
 
 def real(value, error: type[ValueError], field: str) -> float:
-    """value as a float, or error when it is not a real number or is a bool.
+    """value as a float, or error unless it is a finite real number and not a bool.
 
     numpy numbers and Fractions pass; strings are refused instead of parsed.
     """
     # floats (numpy's included) first: the ABC check costs about a microsecond
     if isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool)):
-        return float(value)
+        # False for NaN and ±inf; exact on ints and Fractions float() overflows on
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+        raise error(f"{field}: expected a finite real number, got {value!r}")
     raise error(f"{field}: expected a real number, got {value!r}")

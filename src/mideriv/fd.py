@@ -92,7 +92,7 @@ def central_stencil(d: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
 
 
 def check_partial(orders: Sequence[int], point: Sequence[float]) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Integer orders >= 0 adding up to >= 1, one per real coordinate, as tuples; else DomainError."""
+    """Integer orders >= 0 adding up to >= 1, one per finite real coordinate, as tuples; else DomainError."""
     orders = tuple(integer(k, DomainError, "orders") for k in orders)
     point = tuple(real(x, DomainError, "point") for x in point)
     if len(orders) != len(point):
@@ -136,7 +136,7 @@ def fd_partial(
     total = sum(orders)
     axes = [i for i, k in enumerate(orders) if k > 0]
     low = min(point[i] for i in axes)
-    if not low > 0.0:
+    if low <= 0.0:
         raise DomainError(f"point {point}: active coordinates must be positive")
     reach = max(stencil_halfwidth(orders[i]) for i in axes)
     step = min(BASE_STEP, STEP_FRACTION * low / reach)

@@ -90,7 +90,12 @@ def graph_to_partition(graph: LabeledMultigraph) -> Partition:
 
 
 def export_dot(graph: LabeledMultigraph, name: str = "partition") -> str:
-    """DOT text for the multigraph: stable numbering, one edge per line."""
+    """DOT text for the multigraph: stable numbering, one edge per line.
+    name must be a DOT identifier other than a keyword, else DomainError."""
+    # an ASCII Python identifier is exactly [A-Za-z_][A-Za-z0-9_]*; DOT keywords match in any case
+    ok = isinstance(name, str) and name.isascii() and name.isidentifier()
+    if not ok or name.lower() in ("strict", "graph", "digraph", "subgraph", "node", "edge"):
+        raise DomainError(f"name: expected a DOT identifier that is not a keyword, got {name!r}")
     edges = "".join(map(_edge_line, graph.edges))
     return f"graph {name} {{\n{_vertex_lines(graph.vertex_count)}{edges}}}\n"
 

@@ -186,8 +186,7 @@ def random_triple_input(rng: random.Random) -> DiscreteJoint:
         columns = list(zip(*atoms))
         if all(len(set(col)) > 1 for col in columns):
             break
-    support = [[float(x) for x in atom] for atom in atoms]
-    return DiscreteJoint(support, [float(p) for p in probs])
+    return DiscreteJoint(atoms, probs)
 
 
 def default_derivative_cases(seed: int = 0) -> list[DerivativeCase]:

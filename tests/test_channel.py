@@ -75,12 +75,17 @@ def _rule_parts(order=16):
     [
         (lambda x, w: (x[:-1], w), "^nodes: expected one weight per node"),
         (lambda x, w: (x[:, None], w[:, None]), "^nodes: expected one weight per node"),
-        (lambda x, w: (x, np.where(np.arange(16) == 3, np.nan, w)), "^weights: non-finite entries"),
+        (lambda x, w: (x, np.where(np.arange(16) == 3, np.nan, w)), "^weights: expected a finite real number, got nan$"),
+        # numpy once parsed these as numbers
+        (lambda x, w: (x.astype(str), w), "^nodes: expected a real number, got '-6.63"),
+        (lambda x, w: (x, np.ones(16, dtype=bool)), "^weights: expected a real number, got True$"),
+        # 8 nodes integrate like a standard normal, but are too few
+        (lambda x, w: _rule_parts(8), "^nodes: 8 nodes are below the minimum 16$"),
         (lambda x, w: (x, 2.0 * w), "^weights: sum"),
         (lambda x, w: (x + 0.1, w), "^nodes: odd moment of order 1"),
         (lambda x, w: (1.1 * x, w), "^nodes: second moment"),
     ],
-    ids=["shape", "two-axis", "non-finite", "weight-sum", "odd-moment", "second-moment"],
+    ids=["shape", "two-axis", "non-finite", "string", "boolean", "eight-nodes", "weight-sum", "odd-moment", "second-moment"],
 )
 def test_rule_refuses_what_does_not_integrate_like_a_standard_normal(change, message):
     nodes, weights = _rule_parts()
@@ -220,8 +225,8 @@ def test_joint_validation_names_fields():
         ([[1.0], [-1.0]], [0.5, [0.5]], "^probs: not a rectangular numeric array"),
         # nested arrays of unequal shapes: numpy cannot even hold them as objects
         ([np.zeros((2, 1)), np.zeros((2, 2))], [0.5, 0.5], "^support: not a rectangular numeric array"),
-        ([[1.0], [-1.0]], [float("nan"), 0.5], "^probs: non-finite entries"),
-        ([[1.0], [-1.0]], [0.5, float("inf")], "^probs: non-finite entries"),
+        ([[1.0], [-1.0]], [float("nan"), 0.5], "^probs: expected a finite real number, got nan$"),
+        ([[1.0], [-1.0]], [0.5, float("inf")], "^probs: expected a finite real number, got inf$"),
         # refused by the unit-sum rule before the mass is looked at
         ([[1.0], [-1.0]], [0.0, 0.0], "^probs: sum 0.0 is not 1"),
     ]:
@@ -630,9 +635,6 @@ def test_mmse_matches_closed_form_and_decreases():
 
 
 def test_posterior_pass_checks_its_inputs_once():
-    # 8 nodes integrate like a standard normal, but sit below the minimum
-    nodes, weights = hermegauss(8)
-    coarse = QuadratureRule(nodes, weights / math.sqrt(2.0 * math.pi))
     calls = [
         lambda spec, quad: mutual_information(PAIR, spec, quad),
         lambda spec, quad: mmse(PAIR, spec, channel=2, quad=quad),
@@ -641,8 +643,6 @@ def test_posterior_pass_checks_its_inputs_once():
     for call in calls:
         with pytest.raises(DomainError, match="snr has 1 channels but the distribution has 2"):
             call(ChannelSpec((1.0,)), None)
-        with pytest.raises(DomainError, match="quadrature order 8 is below the minimum 16"):
-            call(ChannelSpec((0.5, 0.9)), coarse)
         spec = ChannelSpec((0.5, 0.9))
         assert call(spec, None) == call(spec, gauss_hermite(DEFAULT_QUAD_ORDER))
 

@@ -257,6 +257,21 @@ def test_mi_refuses_string_and_boolean_laws(capsys, tmp_path):
         assert err.startswith(f"mideriv: error[validation]: {field}: expected a real number"), field
 
 
+def test_mi_refuses_laws_a_float_cannot_hold(capsys, tmp_path):
+    # a 401-digit integer once died in an OverflowError traceback with
+    # exit status 1, the code of a failed verification
+    for support, probs, field in [
+        ("[[" + "9" * 401 + "], [-1]]", "[0.5, 0.5]", "support"),
+        ("[[1], [-1]]", "[0.5, NaN]", "probs"),
+        ("[[-Infinity], [1]]", "[0.5, 0.5]", "support"),
+    ]:
+        path = tmp_path / "law.json"
+        path.write_text(f'{{"n": 1, "support": {support}, "probs": {probs}}}', encoding="utf-8")
+        code, out, err = run(capsys, "mi", "--dist", str(path), "--snr", "0.8")
+        assert (code, out) == (2, ""), field
+        assert err.startswith(f"mideriv: error[validation]: {field}: expected a finite real number"), field
+
+
 def test_tau_refuses_the_other_modes_flags(capsys, dist_file):
     cases = [
         (("--bar", "--dist", dist_file, "--snr", "0.8"), "--bar"),

@@ -1,12 +1,19 @@
-"""Every count a public function takes is read by errors.integer."""
+"""Every count a public function takes is read by errors.integer, and
+every real number by errors.real."""
 from __future__ import annotations
+
+import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mideriv import closedform
+from mideriv.channel import ChannelSpec, DiscreteJoint, QuadratureRule, gauss_hermite
 from mideriv.closedform import half_log_derivative
 from mideriv.errors import DomainError, SizeLimitError, ValidationError
-from mideriv.fd import central_stencil, fornberg_weights
+from mideriv.fd import central_stencil, check_partial, fd_partial, fornberg_weights
 from mideriv.forms import (
     SlotBinding,
     gaussian_moment_oracle,
@@ -16,6 +23,7 @@ from mideriv.forms import (
     tau_symbolic,
 )
 from mideriv.partitions import enumerate_diverse
+from mideriv.verify import DerivativeRequest
 
 GAUSS = gaussian_moment_oracle()
 
@@ -51,3 +59,51 @@ def test_counts_follow_the_integer_rule(name):
     # an integer is then checked against the range, not clamped
     with pytest.raises(error, match=f"^{message}"):
         fn(low)
+
+
+RULE = gauss_hermite(16)
+
+
+def _rule_with(nodes=RULE.nodes, weights=RULE.weights):
+    return QuadratureRule(nodes, weights)
+
+
+def _fd_zero(points):
+    return [0.0 for _ in points]
+
+
+# (entry point as a function of one real, a real it takes, error class
+# and the field it names)
+REAL_ENTRY_POINTS = {
+    "ChannelSpec": (lambda x: ChannelSpec((0.5, x)), 1.0, ValidationError, "snr"),
+    "DiscreteJoint support": (lambda x: DiscreteJoint([[x], [0.0]], [0.5, 0.5]), 1.0, ValidationError, "support"),
+    "DiscreteJoint probs": (lambda x: DiscreteJoint([[1.0], [0.0]], [0.5, x]), 0.5, ValidationError, "probs"),
+    "QuadratureRule nodes": (lambda x: _rule_with(nodes=[*RULE.nodes[:-1], x]), RULE.nodes[-1], ValidationError, "nodes"),
+    "QuadratureRule weights": (lambda x: _rule_with(weights=[x, *RULE.weights[1:]]), RULE.weights[0], ValidationError, "weights"),
+    "DerivativeRequest": (lambda x: DerivativeRequest((1,), (x,)), 0.5, ValidationError, "snr"),
+    "check_partial": (lambda x: check_partial((1,), (x,)), 0.5, DomainError, "point"),
+    # fd_partial once returned (0.0, 0.0) for f = 0 at (inf,)
+    "fd_partial": (lambda x: fd_partial(_fd_zero, (1,), (x,)), 0.5, DomainError, "point"),
+    # and 0.9999999999999989 for x0 at (0.5, inf): an inactive axis is read too
+    "fd_partial inactive axis": (
+        lambda x: fd_partial(lambda points: [p[0] for p in points], (1, 0), (0.5, x)), 0.5, DomainError, "point"),
+    # two_point_mi(True) once returned the mi at snr 1
+    "two_point_mi": (closedform.two_point_mi, 0.5, DomainError, "snr"),
+    "two_point_mmse": (closedform.two_point_mmse, 0.5, DomainError, "snr"),
+    "two_point_posterior_mean": (lambda x: closedform.two_point_posterior_mean(x, 0.5), 0.5, DomainError, "snr"),
+}
+
+# What no entry point takes as a real: a bool, a string, NaN, the
+# infinities, and numbers whose float conversion overflows (once a bare
+# OverflowError)
+NOT_REALS = [True, np.False_, "0.5", None, math.nan, math.inf, -math.inf, np.float64("nan"), 10**400, -(10**400), Fraction(10**400)]
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ENTRY_POINTS))
+def test_reals_follow_the_real_rule(name):
+    fn, good, error, field = REAL_ENTRY_POINTS[name]
+    fn(good)
+    fn(Fraction(good))
+    for bad in NOT_REALS:
+        with pytest.raises(error, match=rf"^{field}: expected a (finite )?real number, got {re.escape(repr(bad))}"):
+            fn(bad)

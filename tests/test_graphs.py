@@ -104,3 +104,14 @@ def test_partition_to_graph_requires_diverse():
     assert any(len(set(b)) < len(b) for b in lumped.blocks)
     with pytest.raises(DomainError, match="loop"):
         partition_to_graph(lumped)
+
+
+def test_dot_export_takes_only_identifier_names():
+    # "a b" once wrote `graph a b {` and "graph" wrote `graph graph {`,
+    # neither of them DOT
+    graph = partition_to_graph(Partition(((1, 2), (1, 2))))
+    for name in ("partition", "p0", "p17", "_x", "Graph2", "edges", "strictly"):
+        assert export_dot(graph, name=name).startswith(f"graph {name} {{\n")
+    for name in ("a b", "", "0p", "p-1", "p{", 'a"b', "é", "graph", "Digraph", "SUBGRAPH", "node", "edge", "strict", None, 1):
+        with pytest.raises(DomainError, match=rf"^name: expected a DOT identifier that is not a keyword, got {re.escape(repr(name))}$"):
+            export_dot(graph, name=name)
