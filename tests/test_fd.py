@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mideriv import gauss_hermite, verify
@@ -29,10 +29,19 @@ def test_first_derivative_central_weights():
     assert weights == [Fraction(-1, 2), Fraction(0), Fraction(1, 2)]
 
 
+def test_weights_reproduce_polynomial_derivatives_exactly():
+    # exactness on monomials up to the stencil's degree, all rational:
+    # the d-th derivative of x**p at 0 is d! when p == d, else 0
+    offsets = tuple(range(-4, 5))
+    for d in (1, 2, 3):
+        weights = fornberg_weights(d, offsets)
+        for p in range(len(offsets)):
+            acc = sum(w * Fraction(o) ** p for w, o in zip(weights, offsets))
+            assert acc == (math.factorial(d) if p == d else 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.fractions(-20, 20, max_denominator=12), min_size=1, max_size=9, unique=True))
-# the integer stencil of half-width 4, checked on every run
-@example(list(range(-4, 5)))
 def test_weights_are_the_unique_exact_ones_on_any_rational_offsets(offsets):
     # n weights taking each monomial x**p, p < n, to its d-th derivative
     # at 0 (d! when p == d, else 0) are unique: this pins the weights on
