@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its two number rules: integer, and real (finite)."""
+"""Exception types shared across the package, its two number rules:
+integer, and real (finite), and the base of the exact half's values."""
 import numbers
 import operator
 import sys
@@ -28,17 +29,27 @@ class QuadratureUnderflowError(ArithmeticError):
     """
 
 
+def _wide(value: int) -> str:
+    # by its bit length: the digits of a wide integer may pass the
+    # interpreter's int-to-str limit, which would raise while wording
+    return f"got {'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 def integer(value, error: type[ValueError], field: str) -> int:
-    """value as an int, or error when it is not an integer or is a bool.
+    """value as an int, or error unless it is an integer in the signed 64-bit range and not a bool.
 
     Goes through operator.index, so numpy integers pass and floats and
     strings are refused instead of truncated or parsed.
     """
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if -(2**63) <= value < 2**63:
+                return value
+            raise error(f"{field}: expected an integer in the signed 64-bit range, {_wide(value)}")
     raise error(f"{field}: expected an integer, got {value!r}")
 
 
@@ -52,5 +63,40 @@ def real(value, error: type[ValueError], field: str) -> float:
         # False for NaN and ±inf; exact on ints and Fractions float() overflows on
         if abs(value) <= sys.float_info.max:
             return float(value)
-        raise error(f"{field}: expected a finite real number, got {value!r}")
+        got = _wide(value) if isinstance(value, int) else f"got {value!r}"
+        raise error(f"{field}: expected a finite real number, {got}")
     raise error(f"{field}: expected a real number, got {value!r}")
+
+
+class Frozen:
+    """An immutable value, in place of a frozen dataclass.
+
+    Its fields are the names annotated in the subclass body, in order,
+    and its __init__ sets them with object.__setattr__.  Values are
+    equal when their class and fields are, hash as their field tuple,
+    print as Name(field=...), and refuse assignment and deletion.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

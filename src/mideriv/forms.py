@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .errors import DomainError, SizeLimitError, ValidationError, integer
+from .errors import DomainError, Frozen, SizeLimitError, ValidationError, integer
 from .partitions import ENUMERATION_LIMIT, _min_block_size, canonical_blocks, set_partitions, slot_states, state_blocks
 
 Block = tuple[int, ...]
@@ -41,8 +40,7 @@ Monomial = tuple[Block, ...]
 CUMULANT_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class SlotBinding:
+class SlotBinding(Frozen):
     """Assignment of argument slots 1..n to variable ids.
 
     Repeated arguments are expressed by binding several slots to the
@@ -52,8 +50,8 @@ class SlotBinding:
 
     variables: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        vs = tuple(integer(v, ValidationError, "variables") for v in self.variables)
+    def __init__(self, variables: Iterable[int]) -> None:
+        vs = tuple(integer(v, ValidationError, "variables") for v in variables)
         if not vs:
             raise ValidationError("variables: a binding needs at least one slot")
         if any(v < 1 for v in vs):
@@ -83,8 +81,7 @@ class SlotBinding:
         return cls(tuple(vs))
 
 
-@dataclass(frozen=True)
-class MomentOracle:
+class MomentOracle(Frozen):
     """Expectation oracle for products of variables over a block.
 
     ``fn`` receives a sorted tuple of variable ids (repeats allowed) and
@@ -95,7 +92,11 @@ class MomentOracle:
     """
 
     fn: Callable[[Block], object]
-    exact: bool = False
+    exact: bool
+
+    def __init__(self, fn: Callable[[Block], object], exact: bool = False) -> None:
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "exact", exact)
 
     def __call__(self, block: Iterable[int]):
         key = tuple(sorted(block))
@@ -204,8 +205,7 @@ class _Factors(dict):
         return text
 
 
-@dataclass(frozen=True)
-class SymbolicExpansion:
+class SymbolicExpansion(Frozen):
     """Exact-rational linear combination of moment monomials.
 
     A monomial is a multiset of blocks, each block a multiset of
@@ -216,9 +216,9 @@ class SymbolicExpansion:
 
     terms: tuple[tuple[Monomial, Fraction], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: Iterable[tuple[Monomial, Fraction]]) -> None:
         acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms:
+        for mono, coeff in terms:
             key = canonical_blocks(b for b in mono if b)
             coeff = Fraction(coeff)
             acc[key] = acc[key] + coeff if key in acc else coeff
@@ -227,7 +227,7 @@ class SymbolicExpansion:
 
     @classmethod
     def _canonical(cls, terms: tuple[tuple[Monomial, Fraction], ...]) -> "SymbolicExpansion":
-        """Wrap terms that are already canonical, skipping __post_init__."""
+        """Wrap terms that are already canonical, skipping __init__."""
         expansion = object.__new__(cls)
         object.__setattr__(expansion, "terms", terms)
         return expansion
@@ -264,9 +264,12 @@ class SymbolicExpansion:
         terms = self.terms
         if not terms:
             return "0"
-        # canonical blocks are never empty, so one variable in all of
-        # them makes every block a power of it
-        single = len({v for mono, _ in terms for b in mono for v in b}) == 1
+        # canonical blocks are sorted and never empty: when every block's
+        # ends are the first block's, and those are one variable, every
+        # block is a power of it; the test stops at the second variable
+        ends = ((b[0], b[-1]) for mono, _ in terms for b in mono)
+        first = next(ends, None)
+        single = first is not None and first[0] == first[1] and all(e == first for e in ends)
         # factors and coefficients repeat across terms: name each once
         factors = _Factors(single)
         factor = factors.__getitem__

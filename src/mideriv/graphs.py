@@ -10,15 +10,13 @@ multigraph constructor rejects.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, Frozen
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class LabeledMultigraph:
+class LabeledMultigraph(Frozen):
     """Multigraph with vertices 0..vertex_count-1 and one edge per label.
 
     Edges are taken exactly as stored: a tuple of (u, v, label) tuples of
@@ -30,13 +28,12 @@ class LabeledMultigraph:
     vertex_count: int
     edges: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        count = self.vertex_count
-        if type(count) is not int or count < 1:
-            raise DomainError(f"vertex_count={count!r}: need an integer >= 1")
-        if type(self.edges) is not tuple:
-            raise DomainError(f"edges: expected a tuple, got {type(self.edges).__name__}")
-        for label, edge in enumerate(self.edges, start=1):
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int, int], ...]) -> None:
+        if type(vertex_count) is not int or vertex_count < 1:
+            raise DomainError(f"vertex_count={vertex_count!r}: need an integer >= 1")
+        if type(edges) is not tuple:
+            raise DomainError(f"edges: expected a tuple, got {type(edges).__name__}")
+        for label, edge in enumerate(edges, start=1):
             if type(edge) is not tuple or len(edge) != 3:
                 raise DomainError(f"edge {edge!r}: expected a (u, v, label) tuple")
             u, v, lab = edge
@@ -46,8 +43,10 @@ class LabeledMultigraph:
                 raise DomainError(f"edge with label {lab} is a loop at vertex {u}")
             if lab != label:
                 raise DomainError(f"edge {edge}: expected label {label}, labels run 1..n in order")
-            if not 0 <= u < v < count:
-                raise DomainError(f"edge {edge}: need 0 <= u < v < {count}")
+            if not 0 <= u < v < vertex_count:
+                raise DomainError(f"edge {edge}: need 0 <= u < v < {vertex_count}")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", edges)
 
 
 def partition_to_graph(partition: Partition) -> LabeledMultigraph:

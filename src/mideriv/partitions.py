@@ -20,11 +20,10 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import SizeLimitError, ValidationError, integer
+from .errors import Frozen, SizeLimitError, ValidationError, integer
 
 # Enumeration guard.  The count grows fast (1, 3, 16, 139, 1750, 29388,
 # 624889) and every result is held in memory: on a 2-CPU machine under
@@ -51,8 +50,7 @@ def _doubled_indices(length: int) -> list[int]:
     return [i // 2 + 1 for i in range(length)]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A multiset of blocks covering {1, 1, ..., n, n}.
 
     The constructor canonicalizes its input and validates coverage:
@@ -62,11 +60,9 @@ class Partition:
 
     blocks: tuple[Block, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
         try:
-            blocks = canonical_blocks(
-                tuple(integer(x, ValidationError, "blocks") for x in b) for b in self.blocks
-            )
+            blocks = canonical_blocks(tuple(integer(x, ValidationError, "blocks") for x in b) for b in blocks)
         except TypeError as exc:
             raise ValidationError(f"blocks: not a list of integer blocks ({exc})") from exc
         object.__setattr__(self, "blocks", blocks)

@@ -272,6 +272,16 @@ def test_mi_refuses_laws_a_float_cannot_hold(capsys, tmp_path):
         assert err.startswith(f"mideriv: error[validation]: {field}: expected a finite real number"), field
 
 
+def test_mi_refuses_a_law_file_with_a_number_json_cannot_read(capsys, tmp_path):
+    # a 5,000-digit entry passes the interpreter's int-to-str limit: json
+    # once raised a bare ValueError, a traceback with exit status 1
+    path = tmp_path / "law.json"
+    path.write_text('{"n": 1, "support": [[' + "9" * 5000 + '], [-1]], "probs": [0.5, 0.5]}', encoding="utf-8")
+    code, out, err = run(capsys, "mi", "--dist", str(path), "--snr", "0.8")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"mideriv: error[validation]: dist file {path}: a number is too long to read")
+
+
 def test_tau_refuses_the_other_modes_flags(capsys, dist_file):
     cases = [
         (("--bar", "--dist", dist_file, "--snr", "0.8"), "--bar"),

@@ -12,7 +12,7 @@ import pytest
 from mideriv import closedform
 from mideriv.channel import ChannelSpec, DiscreteJoint, QuadratureRule, gauss_hermite
 from mideriv.closedform import half_log_derivative
-from mideriv.errors import DomainError, SizeLimitError, ValidationError
+from mideriv.errors import DomainError, SizeLimitError, ValidationError, integer, real
 from mideriv.fd import central_stencil, check_partial, fd_partial, fornberg_weights
 from mideriv.forms import (
     SlotBinding,
@@ -105,5 +105,44 @@ def test_reals_follow_the_real_rule(name):
     fn(good)
     fn(Fraction(good))
     for bad in NOT_REALS:
-        with pytest.raises(error, match=rf"^{field}: expected a (finite )?real number, got {re.escape(repr(bad))}"):
+        # an integer is shown by its bit length, not its digits
+        got = f"{'a negative' if bad < 0 else 'an'} integer of 1329 bits" if type(bad) is int else re.escape(repr(bad))
+        with pytest.raises(error, match=rf"^{field}: expected a (finite )?real number, got {got}"):
             fn(bad)
+
+
+# 10**5000 has 16610 bits and more digits than the interpreter turns
+# into a string: each of these once raised a bare ValueError while
+# wording its own message, central_stencil an OverflowError, and
+# SlotBinding took it
+HUGE = 10**5000
+WIDE = "expected an integer in the signed 64-bit range, got"
+NOT_A_FLOAT = "expected a finite real number, got"
+
+# (entry point as a function of one integer, error class, its message
+# up to the integer's bit length)
+HUGE_INTEGER_ENTRY_POINTS = {
+    "errors.real": (lambda x: real(x, DomainError, "x"), DomainError, f"x: {NOT_A_FLOAT} an"),
+    "enumerate_diverse": (enumerate_diverse, SizeLimitError, f"n: {WIDE} an"),
+    "kappa_symbolic": (kappa_symbolic, DomainError, f"n: {WIDE} an"),
+    "half_log_derivative": (lambda x: half_log_derivative(-x), DomainError, f"k: {WIDE} a negative"),
+    "fd_partial": (lambda x: fd_partial(_fd_zero, (1,), (x,)), DomainError, f"point: {NOT_A_FLOAT} an"),
+    "central_stencil": (central_stencil, DomainError, f"d: {WIDE} an"),
+    "SlotBinding": (lambda x: SlotBinding((x,)), ValidationError, f"variables: {WIDE} an"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_INTEGER_ENTRY_POINTS))
+def test_huge_integers_raise_the_callers_error(name):
+    fn, error, start = HUGE_INTEGER_ENTRY_POINTS[name]
+    # named by the bit length, not the digits
+    with pytest.raises(error, match=f"^{start} integer of 16610 bits$"):
+        fn(HUGE)
+
+
+def test_the_integer_rule_is_the_signed_64_bit_range():
+    for value in (2**63 - 1, -(2**63), np.uint64(2**63 - 1)):
+        assert integer(value, DomainError, "d") == value
+    for value, got in ((2**63, "an"), (np.uint64(2**63), "an"), (-(2**63) - 1, "a negative")):
+        with pytest.raises(DomainError, match=f"^d: {WIDE} {got} integer of 64 bits$"):
+            integer(value, DomainError, "d")
