@@ -127,8 +127,7 @@ def _load_dist(path: str) -> DiscreteJoint:
         raise ValidationError(f"dist file {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"dist file {path}: not valid JSON ({exc})") from None
-    except ValueError as exc:
-        # json's refusal of an integer past the int-to-str digit limit
+    except ValueError as exc:  # json refuses an integer past the int-to-str digit limit
         raise ValidationError(f"dist file {path}: a number is too long to read ({exc})") from None
     return DiscreteJoint.from_dict(payload)
 

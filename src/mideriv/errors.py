@@ -1,5 +1,4 @@
-"""Exception types shared across the package, its two number rules:
-integer, and real (finite), and the base of the exact half's values."""
+"""Exception types, the two number rules (integer, and real), and the base of the exact half's values."""
 import numbers
 import operator
 import sys
@@ -30,8 +29,7 @@ class QuadratureUnderflowError(ArithmeticError):
 
 
 def _wide(value: int) -> str:
-    # by its bit length: the digits of a wide integer may pass the
-    # interpreter's int-to-str limit, which would raise while wording
+    # bits, not digits: a wide integer's digits may pass the int-to-str limit
     return f"got {'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
@@ -69,13 +67,10 @@ def real(value, error: type[ValueError], field: str) -> float:
 
 
 class Frozen:
-    """An immutable value, in place of a frozen dataclass.
-
-    Its fields are the names annotated in the subclass body, in order,
-    and its __init__ sets them with object.__setattr__.  Values are
-    equal when their class and fields are, hash as their field tuple,
-    print as Name(field=...), and refuse assignment and deletion.
-    """
+    """An immutable value in place of a frozen dataclass: its fields are the
+    names its subclass annotates, which its __init__ sets by object.__setattr__;
+    equal by class and fields, hashed as the field tuple, printed as
+    Name(field=...), and closed to assignment and deletion."""
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
@@ -95,8 +90,7 @@ class Frozen:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({fields})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __delattr__ = __setattr__

@@ -264,9 +264,8 @@ class SymbolicExpansion(Frozen):
         terms = self.terms
         if not terms:
             return "0"
-        # canonical blocks are sorted and never empty: when every block's
-        # ends are the first block's, and those are one variable, every
-        # block is a power of it; the test stops at the second variable
+        # canonical blocks are sorted and never empty: all are powers of one
+        # variable iff every block starts and ends with it (stops at another)
         ends = ((b[0], b[-1]) for mono, _ in terms for b in mono)
         first = next(ends, None)
         single = first is not None and first[0] == first[1] and all(e == first for e in ends)
